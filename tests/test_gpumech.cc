@@ -168,6 +168,13 @@ TEST_P(MicroAccuracy, TracksOracleWithinFiftyPercent)
     EXPECT_LT(error, 0.5) << name << " " << toString(policy);
 }
 
+std::string
+microAccuracyName(const ::testing::TestParamInfo<MicroAccuracy::ParamType> &info)
+{
+    return std::string(std::get<0>(info.param)) + '_' +
+           toString(std::get<1>(info.param));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Kernels, MicroAccuracy,
     ::testing::Combine(
@@ -175,7 +182,8 @@ INSTANTIATE_TEST_SUITE_P(
                           "micro_divergent8", "micro_divergent32",
                           "micro_l1_resident", "micro_write_burst"),
         ::testing::Values(SchedulingPolicy::RoundRobin,
-                          SchedulingPolicy::GreedyThenOldest)));
+                          SchedulingPolicy::GreedyThenOldest)),
+    microAccuracyName);
 
 TEST(GpuMech, RepresentativeWarpRecorded)
 {

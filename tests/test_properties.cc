@@ -73,10 +73,19 @@ TEST_P(SuiteByWarpCount, EveryKernelGeneratesAndValidates)
     }
 }
 
+std::string
+suiteByWarpCountName(
+    const ::testing::TestParamInfo<SuiteByWarpCount::ParamType> &info)
+{
+    return std::string(std::get<0>(info.param)) + "_w" +
+           std::to_string(std::get<1>(info.param));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SuiteByWarpCount,
     ::testing::Combine(::testing::Values("rodinia", "parboil", "sdk"),
-                       ::testing::Values(8u, 16u, 48u)));
+                       ::testing::Values(8u, 16u, 48u)),
+    suiteByWarpCountName);
 
 TEST(Properties, ModelFiniteAndPositiveForAllEvaluationKernels)
 {
