@@ -296,6 +296,37 @@ TEST(Timing, DivergentLoadWiderThanMshrFileCompletes)
     EXPECT_GT(s.totalCycles, 421u * 2);
 }
 
+TEST(Timing, LoadWiderThan255LinesCompletes)
+{
+    // Traces allow far more lines per load than a warp has lanes; the
+    // per-load count of outstanding fills must not wrap at 256.
+    HardwareConfig config = oneCore();
+    config.warpsPerCore = 1;
+    config.numMshrs = 512;
+    KernelTrace kernel("t");
+    WarpInst ld;
+    ld.pc = kernel.addStatic(Opcode::GlobalLoad);
+    ld.op = Opcode::GlobalLoad;
+    ld.activeThreads = 32;
+    std::vector<Addr> lines;
+    for (Addr i = 0; i < 300; ++i)
+        lines.push_back(0x10000 + i * 128);
+    WarpTrace warp;
+    std::int32_t ld_idx = warp.addMemInst(ld, lines.data(), 300);
+    WarpInst add;
+    add.pc = kernel.addStatic(Opcode::IntAlu);
+    add.op = Opcode::IntAlu;
+    add.activeThreads = 32;
+    add.deps = {ld_idx, noDep, noDep};
+    warp.addInst(add);
+    kernel.addWarp(warp);
+    ASSERT_TRUE(kernel.validate());
+
+    TimingStats s = run(kernel, config); // must not deadlock
+    EXPECT_EQ(s.totalInsts, 2u);
+    EXPECT_EQ(s.dramReads, 300u);
+}
+
 TEST(Timing, RoundRobinInterleavesWarps)
 {
     HardwareConfig config = oneCore();
