@@ -59,10 +59,10 @@ ReuseDistanceTracker::access(Addr line)
         tree.back() = static_cast<std::uint32_t>(live);
     }
 
-    auto [it, cold] = last.try_emplace(line, stamp);
+    std::uint64_t &slot = last[line]; // stamp + 1; 0 = never seen
     std::uint32_t distance = mrcColdDistance;
-    if (!cold) {
-        const std::uint64_t prev = it->second;
+    if (slot != 0) {
+        const std::uint64_t prev = slot - 1;
         // Distinct lines since the previous access: every set bit is
         // some line's current last access, so the count of set bits
         // strictly after prev is exactly the intervening-line count.
@@ -71,8 +71,8 @@ ReuseDistanceTracker::access(Addr line)
                        ? mrcColdDistance - 1
                        : static_cast<std::uint32_t>(between);
         bitClear(prev);
-        it->second = stamp;
     }
+    slot = stamp + 1;
     bitSet(stamp);
     return distance;
 }
@@ -121,50 +121,6 @@ assocHitProbability(std::uint32_t distance, std::uint32_t sets,
     // intervening distinct lines, resident iff that is <= ways - 1.
     return distance < static_cast<std::uint64_t>(sets) * ways ? 1.0
                                                               : 0.0;
-}
-
-ReusePairHist
-MrcProfile::aggregateHist() const
-{
-    ReusePairHist agg;
-    for (const MrcPcProfile &pc : pcs) {
-        for (const auto &[key, w] : pc.reqHist)
-            agg[key] += w;
-    }
-    return agg;
-}
-
-double
-MrcProfile::l1MissRatio(std::uint32_t sets, std::uint32_t ways) const
-{
-    double total = 0.0, miss = 0.0;
-    for (const MrcPcProfile &pc : pcs) {
-        for (const auto &[key, w] : pc.reqHist) {
-            total += w;
-            miss += w * (1.0 - assocHitProbability(reusePairD1(key),
-                                                   sets, ways));
-        }
-    }
-    return total == 0.0 ? 0.0 : miss / total;
-}
-
-double
-MrcProfile::l2MissRatio(std::uint32_t l1_sets, std::uint32_t l1_ways,
-                        std::uint32_t sets, std::uint32_t ways) const
-{
-    double total = 0.0, miss = 0.0;
-    for (const MrcPcProfile &pc : pcs) {
-        for (const auto &[key, w] : pc.reqHist) {
-            total += w;
-            double l1_miss = 1.0 - assocHitProbability(
-                                       reusePairD1(key), l1_sets,
-                                       l1_ways);
-            double l2_miss = 1.0 - assocHitProbability(
-                                       reusePairDg(key), sets, ways);
-            miss += w * l1_miss * l2_miss;
-        }
-    }
-    return total == 0.0 ? 0.0 : miss / total;
 }
 
 } // namespace gpumech

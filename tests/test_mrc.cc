@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 #include <sstream>
 
 #include "collector/input_collector.hh"
@@ -18,6 +20,7 @@
 #include "core/gpumech.hh"
 #include "harness/sweep.hh"
 #include "mem/mrc.hh"
+#include "trace/trace_builder.hh"
 #include "workloads/workload.hh"
 
 namespace gpumech
@@ -63,6 +66,49 @@ TEST(ReuseDistance, SurvivesFenwickGrowth)
     EXPECT_EQ(t.access(0), 999u);
     EXPECT_EQ(t.access(999), 1u);
     EXPECT_EQ(t.uniqueLines(), 1000u);
+}
+
+TEST(ReuseDistance, MatchesBruteForceLruStackOnCollidingKeys)
+{
+    // Keys 0, k * 2^20 and k * 2^32 all land in one slot under an
+    // identity or low-bits hash. 60k accesses over ~12k of them cross
+    // many table and Fenwick doublings and long probe chains,
+    // including ones that wrap past the table's end.
+    std::mt19937_64 rng(7);
+    std::vector<Addr> keys;
+    std::vector<Addr> stack; // LRU stack, most recent at the back
+    ReuseDistanceTracker t;
+    const std::size_t num_accesses = 60000;
+    for (std::size_t n = 0; n < num_accesses; ++n) {
+        Addr line;
+        const unsigned pick = rng() % 10;
+        if (keys.empty() || pick < 2) {
+            const Addr k = keys.size() / 2;
+            line = keys.size() % 2 == 0 ? k << 20 : k << 32;
+            keys.push_back(line);
+        } else if (pick < 7) {
+            // Recent reuse: one of the last few stack entries.
+            line = stack[stack.size() - 1 - rng() % std::min<std::size_t>(
+                                                     stack.size(), 16)];
+        } else {
+            line = keys[rng() % keys.size()];
+        }
+
+        std::uint32_t want = mrcColdDistance;
+        for (std::size_t i = stack.size(); i-- > 0;) {
+            if (stack[i] == line) {
+                want = static_cast<std::uint32_t>(stack.size() - 1 - i);
+                stack.erase(stack.begin() +
+                            static_cast<std::ptrdiff_t>(i));
+                break;
+            }
+        }
+        stack.push_back(line);
+        ASSERT_EQ(t.access(line), want) << "access " << n;
+    }
+    EXPECT_EQ(t.uniqueLines(), stack.size());
+    EXPECT_EQ(t.accesses(), num_accesses);
+    EXPECT_GT(stack.size(), 10000u);
 }
 
 // ---------------------------------------------------------------------
@@ -222,6 +268,62 @@ TEST(MrcDerive, ExactWithSingleLineL1)
         CollectorResult simulated = collectInputs(kernel, config);
         expectSameCollectorResult(derived, simulated, name);
     }
+}
+
+TEST(MrcDerive, StoresTakeTheirTurnInTheWalk)
+{
+    // One core, two warps. Warp 0 is [store, load A, load A] and warp
+    // 1 is [load B, load C, load B], so the round-robin walk meets the
+    // loads as B, A, C, A, B with d1 cold, cold, cold, 1, 2. A per-core
+    // walk that let warp 0's store skip its turn would meet A before B
+    // and hand the later loads the wrong distances.
+    HardwareConfig config = smallMachine();
+    config.numCores = 1;
+    KernelTrace kernel("store_turns");
+    const std::uint32_t pc_st = kernel.addStatic(Opcode::GlobalStore);
+    const std::uint32_t pc_a1 = kernel.addStatic(Opcode::GlobalLoad);
+    const std::uint32_t pc_a2 = kernel.addStatic(Opcode::GlobalLoad);
+    const std::uint32_t pc_b1 = kernel.addStatic(Opcode::GlobalLoad);
+    const std::uint32_t pc_c = kernel.addStatic(Opcode::GlobalLoad);
+    const std::uint32_t pc_b2 = kernel.addStatic(Opcode::GlobalLoad);
+    const Addr a = 0x10000, b = 0x20000, c = 0x30000;
+    {
+        TraceBuilder w0(kernel, 0, 0, config);
+        w0.globalStore(pc_st, {0x40000});
+        w0.globalLoad(pc_a1, {a});
+        w0.globalLoad(pc_a2, {a});
+        w0.finish();
+    }
+    {
+        TraceBuilder w1(kernel, 1, 0, config);
+        w1.globalLoad(pc_b1, {b});
+        w1.globalLoad(pc_c, {c});
+        w1.globalLoad(pc_b2, {b});
+        w1.finish();
+    }
+
+    MrcProfile profile = collectMrcProfile(kernel, config, 1.0);
+    const std::uint64_t cold = packReusePair(mrcColdDistance,
+                                             mrcColdDistance);
+    const ReusePairHist cold_once = {{cold, 1.0}};
+    EXPECT_EQ(profile.pcs[pc_b1].reqHist, cold_once);
+    EXPECT_EQ(profile.pcs[pc_a1].reqHist, cold_once);
+    EXPECT_EQ(profile.pcs[pc_c].reqHist, cold_once);
+    // One core: the merged-stream distance equals the per-core one.
+    EXPECT_EQ(profile.pcs[pc_a2].reqHist,
+              (ReusePairHist{{packReusePair(1, 1), 1.0}}));
+    EXPECT_EQ(profile.pcs[pc_b2].reqHist,
+              (ReusePairHist{{packReusePair(2, 2), 1.0}}));
+    for (std::uint32_t pc : {pc_a1, pc_a2, pc_b1, pc_c, pc_b2}) {
+        EXPECT_EQ(profile.pcs[pc].instHist, profile.pcs[pc].reqHist)
+            << "pc " << pc;
+        EXPECT_EQ(profile.pcs[pc].loadInsts, 1u) << "pc " << pc;
+    }
+    EXPECT_TRUE(profile.pcs[pc_st].reqHist.empty());
+    EXPECT_EQ(profile.pcs[pc_st].storeInsts, 1u);
+    EXPECT_EQ(profile.pcs[pc_st].storeReqs, 1u);
+    EXPECT_EQ(profile.totalLoadLines, 5u);
+    EXPECT_EQ(profile.sampledLoadLines, 5u);
 }
 
 TEST(MrcDerive, ProfileIsGeometryIndependent)
