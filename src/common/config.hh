@@ -49,6 +49,12 @@ struct LatencyTable
 };
 
 /**
+ * Largest cache size in KB that a sweep or tune value may name: its
+ * byte count must fit the 32-bit l1SizeBytes / l2SizeBytes fields.
+ */
+inline constexpr std::uint32_t maxCacheKb = 0xffffffffu / 1024;
+
+/**
  * The modeled machine (paper Table I).
  *
  * All latencies are in core cycles at coreFreqGhz. The same structure

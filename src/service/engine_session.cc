@@ -264,6 +264,8 @@ handleSweep(EvalSession &session, const Request &req, std::ostream &os)
         } else {
             config.sfuLanes = static_cast<std::uint32_t>(v);
         }
+        if (Status valid = config.validate(); !valid.ok())
+            return fail(valid);
 
         ProfiledKernel pk =
             req.sweepParam == "warps"

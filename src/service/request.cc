@@ -1,6 +1,7 @@
 #include "service/request.hh"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/json.hh"
@@ -135,6 +136,36 @@ checkSweepParam(const std::string &param)
         return Status();
     return Status(StatusCode::InvalidArgument,
                   msg("unknown sweep parameter '", param, "'"));
+}
+
+/**
+ * Values a sweep parameter can take: positive finite bandwidths, and
+ * positive integers elsewhere — up to maxCacheKb for the cache sizes,
+ * whose byte counts must fit 32 bits, and up to 2^32 - 1 for counts.
+ */
+Status
+checkSweepValues(const std::string &param,
+                 const std::vector<double> &values)
+{
+    const bool kb = param == "l1-kb" || param == "l2-kb";
+    const double max = kb ? maxCacheKb : 4294967295.0;
+    for (double v : values) {
+        bool ok = std::isfinite(v) && v > 0.0;
+        if (param != "bw")
+            ok = ok && v == std::floor(v) && v <= max;
+        if (!ok) {
+            char value[32];
+            std::snprintf(value, sizeof(value), "%.17g", v);
+            std::string want = param == "bw" ? "a positive number"
+                                             : "a positive integer";
+            if (kb)
+                want += msg(" up to ", maxCacheKb);
+            return Status(StatusCode::InvalidArgument,
+                          msg("bad value ", value, " for sweep parameter '",
+                              param, "' (must be ", want, ")"));
+        }
+    }
+    return Status();
 }
 
 Result<SweepMode>
@@ -361,6 +392,7 @@ requestFromArgs(const ArgParser &args)
         GPUMECH_ASSIGN_OR_RETURN(
             req.sweepValues,
             sweepValuesFromString(args.get("values", "8,16,24,32,48")));
+        GPUMECH_TRY(checkSweepValues(req.sweepParam, req.sweepValues));
         GPUMECH_ASSIGN_OR_RETURN(
             req.sweepMode,
             sweepModeFromString(args.get("sweep-mode", "rerun")));
@@ -626,6 +658,7 @@ requestFromJson(const std::string &line)
                 req.sweepValues,
                 sweepValuesFromString("8,16,24,32,48"));
         }
+        GPUMECH_TRY(checkSweepValues(req.sweepParam, req.sweepValues));
         std::string mode;
         GPUMECH_ASSIGN_OR_RETURN(mode,
                                  doc.getString("sweep_mode", "rerun"));

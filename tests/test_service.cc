@@ -479,13 +479,15 @@ TEST(ServeLoop, MalformedNumericsDoNotKillTheDaemon)
         R"("sweep_mode":"mrc","mrc_rate":1e999,"id":"b"})" "\n"
         R"({"cmd":"tune","kernel":"micro_stream",)"
         R"("max_cost":-2,"id":"c"})" "\n"
+        R"({"cmd":"sweep","kernel":"vectorAdd","param":"l1-kb",)"
+        R"("values":[0.5],"id":"e"})" "\n"
         R"({"cmd":"ping","id":"d"})" "\n");
     std::ostringstream out;
     ServeOptions options;
     options.maxBatch = 1;
     ServeSummary summary = serveLines(engine, in, out, options);
 
-    EXPECT_EQ(summary.received, 4u);
+    EXPECT_EQ(summary.received, 5u);
 
     std::istringstream lines(out.str());
     std::string line;
@@ -496,10 +498,11 @@ TEST(ServeLoop, MalformedNumericsDoNotKillTheDaemon)
         ok_by_id[doc.value().find("id")->string()] =
             doc.value().find("ok")->boolean();
     }
-    ASSERT_EQ(ok_by_id.size(), 4u);
+    ASSERT_EQ(ok_by_id.size(), 5u);
     EXPECT_FALSE(ok_by_id["a"]);
     EXPECT_FALSE(ok_by_id["b"]);
     EXPECT_FALSE(ok_by_id["c"]);
+    EXPECT_FALSE(ok_by_id["e"]);
     EXPECT_TRUE(ok_by_id["d"]); // still alive
 }
 

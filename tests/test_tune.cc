@@ -303,6 +303,10 @@ TEST(Tune, RejectsBadSearchSpecifications)
     options.dims = {{"scheduler", {2}}};
     EXPECT_EQ(code(options), StatusCode::InvalidArgument);
 
+    // 4194305 KB would wrap the 32-bit byte count to 1 KB.
+    options.dims = {{"l1-kb", {32, 4194305}}};
+    EXPECT_EQ(code(options), StatusCode::InvalidArgument);
+
     options.dims = {{"mshrs", {16, 32}}};
     options.cost.weights["voltage"] = 1.0;
     EXPECT_EQ(code(options), StatusCode::InvalidArgument);
