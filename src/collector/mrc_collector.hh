@@ -3,12 +3,13 @@
  * One-pass reuse-distance profiling and miss-ratio-curve derivation
  * (the MRC fast path for cache-geometry sweeps).
  *
- * collectMrcProfile() walks the trace exactly once — in the serial
- * collector's round-robin warp/core interleave — and records, per
+ * collectMrcProfile() makes one profiling pass in the serial
+ * collector's round-robin warp/core interleave — each core's L1
+ * stream in parallel, then the merged stream — and records, per
  * static PC, joint (per-core, merged-stream) LRU stack distances for
- * every sampled load line request plus exact load/store counts.
- * Stores mirror the simulated collector: write-through/no-allocate,
- * so they never touch the trackers.
+ * every sampled load line request plus exact execution and load/store
+ * counts. Stores mirror the simulated collector:
+ * write-through/no-allocate, so they never touch the trackers.
  *
  * deriveCollectorResult() then prices ANY cache geometry against the
  * profile in O(histogram) time, producing a CollectorResult with the
