@@ -1,15 +1,19 @@
 /**
  * @file
- * Connection-supervisor resilience bench: multi-client throughput,
+ * Serving bench: the warm-path contract, multi-client throughput,
  * socket-path latency, chaos correctness, and drain behavior.
  *
  * Spins up the real supervisor (service/supervisor.hh) on a Unix
  * socket and drives it with raw socket clients:
  *
- *  1. warm handle baseline — direct EngineSession::handle p50 on the
- *     warm srad_kernel1 model request, the same measurement
- *     BENCH_serve.json's "warm" phase records (apples-to-apples
- *     anchor for the socket-path numbers);
+ *  1. warm handle — the contract the long-lived engine exists for.
+ *     A cold srad_kernel1 model request on the fresh engine must
+ *     build its inputs (miss the profiler cache); every warm repeat
+ *     through direct EngineSession::handle must be model-only (zero
+ *     trace/collector/profiler misses) and byte-identical to the cold
+ *     output before its latency counts. Records cold ms, warm p50/p99
+ *     and the cold-to-warm p50 speedup, the anchor for the
+ *     socket-path numbers;
  *  2. single connection — one synchronous client, full socket round
  *     trips (parse, admission, dispatch, reorder, write). Run as
  *     paired trials with phase 3 (single pass then multi pass, best
@@ -61,7 +65,6 @@
 #include "common/json_value.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "service/serve_loop.hh"
 #include "service/supervisor.hh"
 
 using namespace gpumech;
@@ -185,6 +188,23 @@ class Client
 const char *const kWarmRequest =
     R"({"cmd":"model","kernel":"srad_kernel1"})";
 
+/** Fails the bench unless @p resp was served model-only. */
+void
+assertModelOnly(const Response &resp)
+{
+    if (!resp.ok())
+        fatal(msg("warm repeat failed: ", resp.status.toString()));
+    if (resp.stats.traceMisses != 0 ||
+        resp.stats.collectorMisses != 0 ||
+        resp.stats.profilerMisses != 0) {
+        fatal(msg("warm repeat rebuilt inputs: warm repeats must be "
+                  "model-only (trace ",
+                  resp.stats.traceMisses, ", collector ",
+                  resp.stats.collectorMisses, ", profiler ",
+                  resp.stats.profilerMisses, " misses)"));
+    }
+}
+
 /** One synchronous request/response round trip; returns wall ms. */
 double
 roundTrip(Client &client, const std::string &request)
@@ -256,7 +276,7 @@ main(int argc, char **argv)
     std::string out_path =
         args.get("out", "BENCH_serve_resilience.json");
 
-    std::cout << "=== Connection supervisor: resilience and "
+    std::cout << "=== Serving: warm-path contract, resilience and "
                  "multi-client throughput ===\n";
     std::cout << "hardware threads: "
               << std::thread::hardware_concurrency() << "\n\n";
@@ -282,27 +302,35 @@ main(int argc, char **argv)
         served = serveSupervised(engine, sock_path, options);
     });
 
-    // ---- 1. warm handle baseline -----------------------------------
-    // Same measurement as BENCH_serve.json "warm": direct handle() on
-    // the warm session, no socket. Anchors the socket-path numbers.
+    // ---- 1. warm handle ---------------------------------------------
+    // Direct handle() on the session, no socket: the cold request
+    // builds every input stage, each warm repeat must be model-only
+    // and byte-identical to it. Anchors the socket-path numbers.
     Result<Request> warm_req = requestFromJson(kWarmRequest);
     if (!warm_req.ok())
         fatal(warm_req.status().toString());
+    auto c0 = clock_type::now();
     Response cold = engine.handle(warm_req.value());
+    double cold_ms = toMs(clock_type::now() - c0);
     if (!cold.ok())
         fatal(msg("cold request failed: ", cold.status.toString()));
+    if (cold.stats.profilerMisses == 0)
+        fatal("cold request unexpectedly hit a warm cache");
     std::vector<double> handle_lat;
     for (int i = 0; i < 200; ++i) {
         auto t0 = clock_type::now();
         Response resp = engine.handle(warm_req.value());
         handle_lat.push_back(toMs(clock_type::now() - t0));
-        if (!resp.ok())
-            fatal("warm handle failed");
+        assertModelOnly(resp);
+        if (resp.output != cold.output)
+            fatal("warm repeat diverged from cold output");
     }
     double handle_p50 = percentile(handle_lat, 50.0);
     json.beginObject("warm_handle");
+    json.field("cold_ms", cold_ms);
     json.field("p50_ms", handle_p50);
     json.field("p99_ms", percentile(handle_lat, 99.0));
+    json.field("speedup_p50_vs_cold", cold_ms / handle_p50);
     json.endObject();
 
     // ---- 2 + 3. single connection vs 8 windowed clients ------------
@@ -420,7 +448,8 @@ main(int argc, char **argv)
     json.endObject();
 
     Table rate_table({"phase", "req/s", "p50 ms", "p99 ms"});
-    rate_table.addRow({"handle (no socket)", "-",
+    rate_table.addRow({"cold handle", "-", fmtDouble(cold_ms, 3), "-"});
+    rate_table.addRow({"warm handle (no socket)", "-",
                        fmtDouble(handle_p50, 3),
                        fmtDouble(percentile(handle_lat, 99.0), 3)});
     rate_table.addRow({"single connection",

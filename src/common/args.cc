@@ -4,11 +4,34 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 
 #include "common/logging.hh"
 
 namespace gpumech
 {
+
+namespace
+{
+
+/**
+ * @p value as a uint32 when it is plain decimal digits up to
+ * 4294967295. strtoul alone would wrap "-1" and let the uint32 cast
+ * truncate anything past 32 bits.
+ */
+std::optional<std::uint32_t>
+parseUint32(const std::string &value)
+{
+    if (value.find_first_not_of("0123456789") != std::string::npos)
+        return std::nullopt;
+    errno = 0;
+    unsigned long long v = std::strtoull(value.c_str(), nullptr, 10);
+    if (errno != 0 || v > 0xffffffffull)
+        return std::nullopt;
+    return static_cast<std::uint32_t>(v);
+}
+
+} // namespace
 
 ArgParser::ArgParser(int argc, const char *const *argv)
 {
@@ -78,12 +101,11 @@ ArgParser::getUint(const std::string &name, std::uint32_t fallback) const
     auto it = options.find(name);
     if (it == options.end() || it->second.empty())
         return fallback;
-    char *end = nullptr;
-    unsigned long v = std::strtoul(it->second.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0')
-        fatal(msg("--", name, " expects an integer, got '", it->second,
-                  "'"));
-    return static_cast<std::uint32_t>(v);
+    std::optional<std::uint32_t> v = parseUint32(it->second);
+    if (!v)
+        fatal(msg("--", name, " expects an integer from 0 to ",
+                  "4294967295, got '", it->second, "'"));
+    return *v;
 }
 
 Result<std::uint32_t>
@@ -93,25 +115,13 @@ ArgParser::getPositiveUint(const std::string &name,
     auto it = options.find(name);
     if (it == options.end() || it->second.empty())
         return fallback;
-    const std::string &value = it->second;
-    Status bad(StatusCode::InvalidArgument,
-               msg("--", name, " expects a positive integer, got '",
-                   value, "'"));
-    if (value.find_first_not_of("0123456789") != std::string::npos)
-        return bad;
-    // All digits; overflow is the only remaining failure mode.
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (errno != 0 || end == nullptr || *end != '\0' ||
-        v > 0xffffffffull) {
+    std::optional<std::uint32_t> v = parseUint32(it->second);
+    if (!v || *v == 0) {
         return Status(StatusCode::InvalidArgument,
-                      msg("--", name, " value '", value,
-                          "' exceeds the 32-bit range"));
+                      msg("--", name, " expects a positive integer ",
+                          "up to 4294967295, got '", it->second, "'"));
     }
-    if (v == 0)
-        return bad;
-    return static_cast<std::uint32_t>(v);
+    return *v;
 }
 
 Result<double>

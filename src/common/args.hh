@@ -44,17 +44,20 @@ class ArgParser
     std::string get(const std::string &name,
                     const std::string &fallback = "") const;
 
-    /** Numeric value of --name; fatal on non-numeric input. */
+    /**
+     * Numeric value of --name: plain decimal digits up to 4294967295.
+     * Fatal on anything else, including "-1" and values past 32 bits,
+     * which would otherwise wrap.
+     */
     std::uint32_t getUint(const std::string &name,
                           std::uint32_t fallback) const;
 
     /**
      * Checked counterpart of getUint for count-valued options
-     * (--warps, --cores, --mshrs, --jobs): the value must be a plain
-     * decimal integer >= 1 that fits a uint32. Anything else —
-     * including "-1" (which getUint's strtoul would silently wrap to
-     * ~4e9) and "0" — returns StatusCode::InvalidArgument naming the
-     * flag, so front-ends can reject it before it reaches the engine.
+     * (--warps, --cores, --mshrs, --jobs): the same digits-only,
+     * 32-bit range, and the value must be >= 1. Anything else returns
+     * StatusCode::InvalidArgument naming the flag, so front-ends can
+     * reject it before it reaches the engine.
      * Absent/valueless options return @p fallback unchecked.
      */
     Result<std::uint32_t>

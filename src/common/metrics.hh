@@ -244,8 +244,8 @@ std::uint64_t monotonicNowNs();
  * subtract entrywise; gauges keep the after value (a gauge is a level,
  * not a flow); histogram min/max are kept from @p after (extrema are
  * not invertible). Metrics registered only in @p after appear as-is.
- * The serve loop uses this to attribute registry activity to one
- * request batch; like snapshot(), both endpoints must be taken while
+ * The connection supervisor uses this to attribute registry activity
+ * to one request; like snapshot(), both endpoints must be taken while
  * no instrumented work is in flight.
  */
 std::vector<MetricSnapshot>

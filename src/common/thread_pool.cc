@@ -88,10 +88,8 @@ ThreadPool::drain(Job &job)
     std::uint64_t t0 = measure ? monotonicNowNs() : 0;
     std::size_t claimed_chunks = 0;
     std::size_t claimed_items = 0;
-    for (;;) {
-        std::size_t begin = job.next.fetch_add(job.chunk);
-        if (begin >= job.n)
-            break;
+    std::size_t begin = job.next.fetch_add(job.chunk);
+    while (begin < job.n) {
         std::size_t end = std::min(begin + job.chunk, job.n);
         if (measure) {
             if (job.submitNs != 0 &&
@@ -116,18 +114,24 @@ ThreadPool::drain(Job &job)
                 job.failed.store(true, std::memory_order_relaxed);
             }
         }
+        // Claim the next chunk before reporting this one done, so this
+        // worker's last metric writes land before the submitter can
+        // wake: a registry snapshot taken once parallelMap returns
+        // must race no write.
+        std::size_t next = job.next.fetch_add(job.chunk);
+        if (measure && next >= job.n) {
+            poolMetrics().chunks.add(claimed_chunks);
+            poolMetrics().items.add(claimed_items);
+            poolMetrics().drainMs.observe(
+                static_cast<double>(monotonicNowNs() - t0) / 1e6);
+        }
         if (job.chunksDone.fetch_add(1) + 1 == job.totalChunks) {
             // Last chunk: wake the submitter. Locking job.mu orders
             // this notify against the submitter's predicate check.
             std::lock_guard<std::mutex> lock(job.mu);
             job.done.notify_all();
         }
-    }
-    if (measure && claimed_chunks > 0) {
-        poolMetrics().chunks.add(claimed_chunks);
-        poolMetrics().items.add(claimed_items);
-        poolMetrics().drainMs.observe(
-            static_cast<double>(monotonicNowNs() - t0) / 1e6);
+        begin = next;
     }
 }
 

@@ -707,9 +707,9 @@ EngineSession::dispatch(const Request &req)
         os << "pong\n";
         break;
       case Verb::Health: {
-        // The engine's view: alive and counting. The connection
-        // supervisor enriches this with queue/connection state before
-        // it reaches a socket client (supervisor.cc).
+        // The engine's view (the CLI's `health`): alive and counting.
+        // Served requests never get here: the connection supervisor
+        // answers health itself, with its own state (supervisor.cc).
         JsonWriter json;
         json.field("healthy", true);
         json.field("requests", handled.load());

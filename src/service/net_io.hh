@@ -1,8 +1,8 @@
 /**
  * @file
- * Hardened POSIX fd line I/O shared by every serving transport: the
- * stdin/stdout daemon mode, the single-connection serve loop, and the
- * multi-client connection supervisor.
+ * Hardened POSIX fd line I/O for the connection supervisor's readers
+ * and writers, in both daemon modes: Unix-socket clients and the
+ * stdin/stdout fd pair.
  *
  * Writes loop over partial writes and EINTR, use MSG_NOSIGNAL on
  * sockets (no SIGPIPE from a vanished peer), and can bound their

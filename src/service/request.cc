@@ -623,10 +623,13 @@ requestFromJson(const std::string &line)
 
     double timeout = 0.0;
     GPUMECH_ASSIGN_OR_RETURN(timeout, doc.getNumber("timeout_ms", 0.0));
-    if (timeout < 0.0 || timeout != std::floor(timeout)) {
+    // The same range as argv's getUint; 1e999 parses to infinity,
+    // which the cast below could not represent.
+    if (timeout < 0.0 || timeout != std::floor(timeout) ||
+        timeout > 4294967295.0) {
         return Status(StatusCode::InvalidArgument,
-                      msg("field 'timeout_ms' must be a non-negative "
-                          "integer, got ", timeout));
+                      msg("field 'timeout_ms' must be an integer from 0 "
+                          "to 4294967295, got ", timeout));
     }
     req.timeoutMs = static_cast<std::uint64_t>(timeout);
 

@@ -24,7 +24,6 @@
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "service/net_io.hh"
-#include "service/serve_loop.hh"
 
 namespace gpumech
 {
@@ -32,8 +31,13 @@ namespace gpumech
 namespace
 {
 
+std::atomic<bool> drainRequested{false};
+
 /** Accept-loop poll / reap granularity. */
 constexpr int kAcceptTickMs = 200;
+
+/** Poll period while waiting on writers or on an adopted fd pair. */
+constexpr auto kWaitTick = std::chrono::milliseconds(10);
 
 /** Ceiling on the retry_after_ms back-off hint. */
 constexpr std::uint64_t kMaxRetryHintMs = 30000;
@@ -45,11 +49,19 @@ constexpr std::uint64_t kMaxRetryHintMs = 30000;
  */
 constexpr std::uint64_t kDrainWriterGraceMs = 5000;
 
-/** One client connection: fd, its two threads, and writer state. */
+/** One client connection: its fds, its two threads, writer state. */
 struct Conn
 {
-    int fd = -1;
-    std::uint64_t id = 0;
+    int fd = -1;    //!< read side; a socket client's only fd
+    int outFd = -1; //!< write side (fd itself for a socket client)
+
+    /**
+     * An accepted socket client: the supervisor owns and closes fd,
+     * writes with send() and wakes the reader with shutdown(). An
+     * adopted fd pair stays the caller's and gets none of these.
+     */
+    bool socket = true;
+
     std::thread reader;
     std::thread writer;
 
@@ -94,12 +106,28 @@ class Supervisor
             this->options.maxLineBytes, 1);
     }
 
-    Result<SupervisorSummary> run(const std::string &socket_path);
+    Result<SupervisorSummary> serveSocket(const std::string &socket_path);
+    SupervisorSummary serveFds(int in_fd, int out_fd);
 
   private:
     void readerMain(std::shared_ptr<Conn> conn);
     void writerMain(std::shared_ptr<Conn> conn);
     void dispatcherMain();
+
+    /** Start serving a connection on its own reader and writer. */
+    void adopt(int in_fd, int out_fd, bool socket);
+
+    /** Join and forget finished connections (all, if @p force). */
+    void reap(bool force);
+
+    /**
+     * Full teardown, shared by the normal drain and the fatal
+     * accept-loop exits (returning with joinable reader/writer/
+     * dispatcher threads alive would std::terminate): stop intake
+     * everywhere, answer everything admitted, flush every writer
+     * within a bounded grace, and join everything.
+     */
+    void shutdownAll();
 
     Response evaluate(const Request &request);
     Response healthResponse();
@@ -137,6 +165,10 @@ class Supervisor
 
     std::atomic<bool> connStop{false};
     std::atomic<std::size_t> liveConns{0};
+
+    /** Touched only by the serving thread (the entry's caller). */
+    std::vector<std::thread> dispatchers;
+    std::vector<std::shared_ptr<Conn>> conns;
 };
 
 std::uint64_t
@@ -220,9 +252,19 @@ Supervisor::readerMain(std::shared_ptr<Conn> conn)
             continue; // blank keep-alive line
         bump(&SupervisorSummary::received);
         std::uint64_t seq;
+        bool dead;
         {
             std::lock_guard<std::mutex> lock(conn->mu);
             seq = ++conn->issued;
+            dead = conn->dead;
+        }
+        if (dead) {
+            // A dead writer ends intake at the next line: no answer
+            // can be delivered, and shutdown() wakes only a socket's
+            // reader, not a pipe's.
+            bump(&SupervisorSummary::dropped,
+                 1 + lines.bufferedLines());
+            break;
         }
 
         Result<Request> parsed = requestFromJson(line);
@@ -317,14 +359,15 @@ Supervisor::writerMain(std::shared_ptr<Conn> conn)
         conn->outbox.erase(conn->nextWrite);
         lock.unlock();
         WriteResult r =
-            writeAllFd(conn->fd, line.data(), line.size(),
-                       options.writeTimeoutMs, /*is_socket=*/true);
+            writeAllFd(conn->outFd, line.data(), line.size(),
+                       options.writeTimeoutMs, conn->socket);
         lock.lock();
         if (r != WriteResult::Ok) {
             conn->dead = true;
             undelivered = 1; // the response in hand was lost too
             // Wake the reader promptly: its next poll sees HUP/EOF.
-            ::shutdown(conn->fd, SHUT_RDWR);
+            if (conn->socket)
+                ::shutdown(conn->fd, SHUT_RDWR);
             if (r == WriteResult::Timeout)
                 bump(&SupervisorSummary::slowDisconnects);
             break;
@@ -372,8 +415,6 @@ Supervisor::healthResponse()
 Response
 Supervisor::evaluate(const Request &request)
 {
-    if (request.verb == Verb::Health)
-        return healthResponse();
     if (request.wantMetrics) {
         std::unique_lock<std::shared_mutex> exclusive(engineMu);
         const bool with_metrics = Metrics::enabled();
@@ -419,12 +460,11 @@ Supervisor::dispatcherMain()
                              : alpha * resp.stats.wallMs +
                                    (1.0 - alpha) * ewmaWallMs;
         }
-        // Health/stats answers ARE their output; --no-output must
-        // not strip them down to an empty success line.
+        // Stats answers ARE their output (as health's, answered by
+        // the reader); --no-output must not strip them down to an
+        // empty success line.
         const bool include_output =
-            options.includeOutput ||
-            item.request.verb == Verb::Health ||
-            item.request.verb == Verb::Stats;
+            options.includeOutput || item.request.verb == Verb::Stats;
         deliver(item.conn, item.seq,
                 responseToJsonLine(resp, item.request.id, item.seq,
                                    include_output) +
@@ -433,8 +473,92 @@ Supervisor::dispatcherMain()
     }
 }
 
+void
+Supervisor::adopt(int in_fd, int out_fd, bool socket)
+{
+    auto conn = std::make_shared<Conn>();
+    conn->fd = in_fd;
+    conn->outFd = out_fd;
+    conn->socket = socket;
+    liveConns.fetch_add(1);
+    bump(&SupervisorSummary::connections);
+    conn->reader = std::thread([this, conn] { readerMain(conn); });
+    conn->writer = std::thread([this, conn] { writerMain(conn); });
+    conns.push_back(std::move(conn));
+}
+
+void
+Supervisor::reap(bool force)
+{
+    for (auto it = conns.begin(); it != conns.end();) {
+        Conn &c = **it;
+        if (force || (c.readerExited.load() && c.writerExited.load())) {
+            if (c.reader.joinable())
+                c.reader.join();
+            if (c.writer.joinable())
+                c.writer.join();
+            if (c.socket)
+                ::close(c.fd);
+            liveConns.fetch_sub(1);
+            it = conns.erase(it);
+        } else {
+            ++it;
+        }
+    }
+}
+
+void
+Supervisor::shutdownAll()
+{
+    connStop.store(true);
+    for (auto &conn : conns)
+        if (conn->reader.joinable())
+            conn->reader.join();
+    {
+        std::lock_guard<std::mutex> lock(queueMu);
+        stopDispatch = true;
+    }
+    queueCv.notify_all();
+    for (auto &t : dispatchers)
+        t.join();
+    for (auto &conn : conns)
+        conn->cv.notify_all();
+    // Writers with writeTimeoutMs 0 can block forever on a peer that
+    // never reads; past the grace, force a stalled socket shut so
+    // writeAllFd fails and the writer exits (its undelivered lines
+    // are counted as dropped on the way out).
+    const std::uint64_t grace = options.writeTimeoutMs > 0
+                                    ? options.writeTimeoutMs +
+                                          kAcceptTickMs
+                                    : kDrainWriterGraceMs;
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(grace);
+    auto writers_pending = [&] {
+        for (const auto &conn : conns)
+            if (!conn->writerExited.load())
+                return true;
+        return false;
+    };
+    while (writers_pending() &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(kWaitTick);
+    }
+    for (auto &conn : conns) {
+        if (conn->writerExited.load())
+            continue;
+        {
+            std::lock_guard<std::mutex> lock(conn->mu);
+            conn->dead = true;
+        }
+        if (conn->socket)
+            ::shutdown(conn->fd, SHUT_RDWR);
+        conn->cv.notify_all();
+    }
+    reap(true);
+}
+
 Result<SupervisorSummary>
-Supervisor::run(const std::string &socket_path)
+Supervisor::serveSocket(const std::string &socket_path)
 {
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
@@ -473,84 +597,13 @@ Supervisor::run(const std::string &socket_path)
     ::fcntl(listen_fd, F_SETFL,
             ::fcntl(listen_fd, F_GETFL, 0) | O_NONBLOCK);
 
-    std::vector<std::thread> dispatchers;
     for (unsigned i = 0; i < options.dispatchers; ++i)
         dispatchers.emplace_back([this] { dispatcherMain(); });
 
-    std::vector<std::shared_ptr<Conn>> conns;
-    std::uint64_t next_conn_id = 0;
-
-    auto reap = [&](bool force) {
-        for (auto it = conns.begin(); it != conns.end();) {
-            Conn &c = **it;
-            if (force ||
-                (c.readerExited.load() && c.writerExited.load())) {
-                if (c.reader.joinable())
-                    c.reader.join();
-                if (c.writer.joinable())
-                    c.writer.join();
-                ::close(c.fd);
-                liveConns.fetch_sub(1);
-                it = conns.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    };
-
-    // Full teardown, shared by the normal drain and the fatal
-    // accept-loop exits (returning with joinable reader/writer/
-    // dispatcher threads alive would std::terminate): stop accepting,
-    // stop intake everywhere, answer everything admitted, flush every
-    // writer within a bounded grace, and join everything.
-    auto shutdownAll = [&] {
+    auto stop = [&] {
         ::close(listen_fd);
         ::unlink(socket_path.c_str());
-        connStop.store(true);
-        for (auto &conn : conns)
-            if (conn->reader.joinable())
-                conn->reader.join();
-        {
-            std::lock_guard<std::mutex> lock(queueMu);
-            stopDispatch = true;
-        }
-        queueCv.notify_all();
-        for (auto &t : dispatchers)
-            t.join();
-        for (auto &conn : conns)
-            conn->cv.notify_all();
-        // Writers with writeTimeoutMs 0 can block forever on a peer
-        // that never reads; past the grace, force the stalled fd shut
-        // so writeAllFd fails and the writer exits (its undelivered
-        // lines are counted as dropped on the way out).
-        const std::uint64_t grace =
-            options.writeTimeoutMs > 0
-                ? options.writeTimeoutMs + kAcceptTickMs
-                : kDrainWriterGraceMs;
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::milliseconds(grace);
-        auto writers_pending = [&] {
-            for (const auto &conn : conns)
-                if (!conn->writerExited.load())
-                    return true;
-            return false;
-        };
-        while (writers_pending() &&
-               std::chrono::steady_clock::now() < deadline) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(10));
-        }
-        for (auto &conn : conns) {
-            if (conn->writerExited.load())
-                continue;
-            {
-                std::lock_guard<std::mutex> lock(conn->mu);
-                conn->dead = true;
-            }
-            ::shutdown(conn->fd, SHUT_RDWR);
-            conn->cv.notify_all();
-        }
-        reap(true);
+        shutdownAll();
     };
 
     int last_accept_errno = 0; // rate-limits exhaustion warnings
@@ -564,7 +617,7 @@ Supervisor::run(const std::string &socket_path)
                 continue; // drain flag re-checked above
             Status s(StatusCode::Internal,
                      msg("poll(): ", std::strerror(errno)));
-            shutdownAll();
+            stop();
             return s;
         }
         if (rc == 0 || !(pfd.revents & POLLIN))
@@ -590,24 +643,35 @@ Supervisor::run(const std::string &socket_path)
             }
             Status s(StatusCode::Internal,
                      msg("accept(): ", std::strerror(errno)));
-            shutdownAll();
+            stop();
             return s;
         }
         last_accept_errno = 0;
         ::fcntl(client, F_SETFL,
                 ::fcntl(client, F_GETFL, 0) | O_NONBLOCK);
-        auto conn = std::make_shared<Conn>();
-        conn->fd = client;
-        conn->id = ++next_conn_id;
-        liveConns.fetch_add(1);
-        bump(&SupervisorSummary::connections);
-        conn->reader =
-            std::thread([this, conn] { readerMain(conn); });
-        conn->writer =
-            std::thread([this, conn] { writerMain(conn); });
-        conns.push_back(std::move(conn));
+        adopt(client, client, /*socket=*/true);
     }
 
+    stop();
+
+    std::lock_guard<std::mutex> lock(statsMu);
+    return totals;
+}
+
+SupervisorSummary
+Supervisor::serveFds(int in_fd, int out_fd)
+{
+    for (unsigned i = 0; i < options.dispatchers; ++i)
+        dispatchers.emplace_back([this] { dispatcherMain(); });
+
+    // Checked before the reader exists, so a drain requested before
+    // the start can never lose a race to a first read.
+    if (!serveDraining())
+        adopt(in_fd, out_fd, /*socket=*/false);
+    while (!serveDraining() && !conns.empty()) {
+        std::this_thread::sleep_for(kWaitTick);
+        reap(false);
+    }
     shutdownAll();
 
     std::lock_guard<std::mutex> lock(statsMu);
@@ -621,7 +685,33 @@ serveSupervised(EngineSession &engine, const std::string &socket_path,
                 const SupervisorOptions &options)
 {
     Supervisor supervisor(engine, options);
-    return supervisor.run(socket_path);
+    return supervisor.serveSocket(socket_path);
+}
+
+SupervisorSummary
+serveFd(EngineSession &engine, int in_fd, int out_fd,
+        const SupervisorOptions &options)
+{
+    Supervisor supervisor(engine, options);
+    return supervisor.serveFds(in_fd, out_fd);
+}
+
+void
+requestServeDrain()
+{
+    drainRequested.store(true, std::memory_order_relaxed);
+}
+
+bool
+serveDraining()
+{
+    return drainRequested.load(std::memory_order_relaxed);
+}
+
+void
+resetServeDrain()
+{
+    drainRequested.store(false, std::memory_order_relaxed);
 }
 
 } // namespace gpumech

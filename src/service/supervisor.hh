@@ -1,15 +1,16 @@
 /**
  * @file
- * Multi-client connection supervisor for the gpumech_serve daemon's
- * Unix-socket mode.
+ * Connection supervisor: the gpumech_serve daemon's one serving path.
  *
- * The single-connection loop (serve_loop.hh) accepts one client at a
- * time; the supervisor accepts many concurrently and keeps one engine
- * — and its warm cache — shared across all of them:
+ * serveSupervised() accepts many Unix-socket clients concurrently;
+ * serveFd() adopts one connection made of a separate read and write
+ * fd (the daemon's stdin/stdout mode). Either way every connection
+ * shares one engine — and its warm cache — and runs the same
+ * machinery:
  *
- *   accept loop   non-blocking listen fd polled in short ticks;
- *                 reaps finished connections and notices a drain
- *                 request within one tick
+ *   accept loop   (socket mode) non-blocking listen fd polled in
+ *                 short ticks; reaps finished connections and
+ *                 notices a drain request within one tick
  *   per conn      a reader thread (hardened line intake: byte cap,
  *                 idle timeout, cooperative stop) and a writer thread
  *                 (responses written strictly in that client's seq
@@ -51,7 +52,7 @@
 namespace gpumech
 {
 
-/** Supervisor knobs (the daemon's --serve-* flags). */
+/** Serving knobs; each maps to one gpumech_serve flag. */
 struct SupervisorOptions
 {
     /** Shared admission queue bound before load shedding. Min 1. */
@@ -68,7 +69,8 @@ struct SupervisorOptions
 
     /**
      * Per-response write deadline; a client that cannot absorb its
-     * responses this long is disconnected. 0 = wait forever.
+     * responses this long is disconnected. 0 = wait forever. Only a
+     * non-blocking fd can time out: a blocking stdout just waits.
      */
     std::uint64_t writeTimeoutMs = 5000;
 
@@ -113,6 +115,31 @@ struct SupervisorSummary
 Result<SupervisorSummary>
 serveSupervised(EngineSession &engine, const std::string &socket_path,
                 const SupervisorOptions &options = {});
+
+/**
+ * Serve one connection that reads @p in_fd and writes @p out_fd (the
+ * daemon's stdin/stdout mode) under the same rules as a socket
+ * client. Returns once the input reached EOF (or intake ended early)
+ * and every admitted answer was written, or after a drain. The fds
+ * stay the caller's: they are never closed, their O_NONBLOCK flag is
+ * left as it is, and output goes through write(). A drain requested
+ * before the call reads and writes nothing.
+ */
+SupervisorSummary serveFd(EngineSession &engine, int in_fd, int out_fd,
+                          const SupervisorOptions &options = {});
+
+/**
+ * Ask the serving entry to drain and return (async-signal-safe; the
+ * daemon's SIGTERM/SIGINT handler calls this). Intake stops at the
+ * next read; admitted requests are still answered.
+ */
+void requestServeDrain();
+
+/** True once a drain has been requested. */
+bool serveDraining();
+
+/** Re-arm serving after a drain (tests serve several times per process). */
+void resetServeDrain();
 
 } // namespace gpumech
 

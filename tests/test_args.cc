@@ -115,10 +115,15 @@ TEST(Args, GetPositiveUintRejectsZeroNegativeAndJunk)
 
 TEST(ArgsDeath, NonNumericValueIsFatal)
 {
-    ArgParser a({"--warps", "eight"});
-    EXPECT_DEATH(
-        { [[maybe_unused]] auto v = a.getUint("warps", 0); },
-        "expects an integer");
+    // strtoul wraps "-1" to ~4e9, and the uint32 cast truncates
+    // 2^32+1 to 1: both must fail instead.
+    for (const char *bad : {"eight", "-1", "4294967297"}) {
+        ArgParser a({"--warps", bad});
+        EXPECT_DEATH(
+            { [[maybe_unused]] auto v = a.getUint("warps", 0); },
+            "expects an integer")
+            << bad;
+    }
 }
 
 TEST(Args, GetDoubleAcceptsNumbersAndFallsBack)

@@ -3,27 +3,30 @@
  * Service-layer tests: the typed request model (argv and JSON-lines
  * parsers, including the checked count-valued options), the
  * EngineSession front-end contract (warm-cache reuse, containment,
- * exit-code semantics), the response serialization, the serving loop
- * (ordering, malformed lines, admission control, drain), and the
- * multi-client connection supervisor (per-client ordering/routing,
- * fairness quotas with retry hints, misbehaving-client isolation,
- * graceful drain with work in flight).
+ * exit-code semantics), the response serialization, and the
+ * connection supervisor: stdin/stdout mode as one fd-pair connection
+ * (ordering, malformed lines, admission control, drain, a dead
+ * writer) and socket mode (per-client ordering/routing, fairness
+ * quotas with retry hints, misbehaving-client isolation, exclusive
+ * metrics requests, graceful drain with work in flight).
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <csignal>
 #include <sstream>
 #include <thread>
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include "common/json_value.hh"
+#include "common/metrics.hh"
 #include "service/engine_session.hh"
-#include "service/serve_loop.hh"
 #include "service/supervisor.hh"
 
 using namespace gpumech;
@@ -228,6 +231,9 @@ TEST(RequestFromJson, RejectsBadRequests)
               StatusCode::InvalidArgument);
     EXPECT_EQ(jsonCode(R"({"cmd":"model","kernel":"k","timeout_ms":-1})"),
               StatusCode::InvalidArgument);
+    EXPECT_EQ(
+        jsonCode(R"({"cmd":"model","kernel":"k","timeout_ms":1e999})"),
+        StatusCode::InvalidArgument);
     EXPECT_EQ(jsonCode(R"({"cmd":"pack","paths":["only-one"]})"),
               StatusCode::InvalidArgument);
     EXPECT_EQ(jsonCode(R"({"cmd":"sweep","kernel":"k","values":["x"]})"),
@@ -422,21 +428,75 @@ TEST(EngineSession, PingAndStats)
               1.0);
 }
 
-TEST(ServeLoop, AnswersEveryLineInOrder)
+// ---------------------------------------------------------------------
+// stdin/stdout mode: serveFd adopts one fd-pair connection
+// ---------------------------------------------------------------------
+
+void
+writeAllTo(int fd, const std::string &data)
+{
+    std::size_t off = 0;
+    while (off < data.size()) {
+        ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+        if (n < 0 && errno == EINTR)
+            continue;
+        ASSERT_GT(n, 0);
+        off += static_cast<std::size_t>(n);
+    }
+}
+
+/**
+ * serveFd over two pipes: a feeder thread writes @p input and closes
+ * the pipe (EOF), a drainer thread collects every byte written into
+ * @p output.
+ */
+SupervisorSummary
+serveOverPipes(EngineSession &engine, const std::string &input,
+               std::string &output,
+               const SupervisorOptions &options = {})
+{
+    int in[2], out[2];
+    EXPECT_EQ(::pipe(in), 0);
+    EXPECT_EQ(::pipe(out), 0);
+    std::thread feeder([&] {
+        writeAllTo(in[1], input);
+        ::close(in[1]);
+    });
+    std::thread drainer([&] {
+        char chunk[4096];
+        ssize_t n;
+        while ((n = ::read(out[0], chunk, sizeof chunk)) > 0)
+            output.append(chunk, static_cast<std::size_t>(n));
+    });
+    SupervisorSummary summary =
+        serveFd(engine, in[0], out[1], options);
+    // The fds are the caller's: still open, still blocking.
+    EXPECT_EQ(::fcntl(in[0], F_GETFL) & O_NONBLOCK, 0);
+    EXPECT_EQ(::fcntl(out[1], F_GETFL) & O_NONBLOCK, 0);
+    ::close(out[1]);
+    feeder.join();
+    drainer.join();
+    ::close(in[0]);
+    ::close(out[0]);
+    return summary;
+}
+
+TEST(ServeFd, AnswersEveryLineInOrder)
 {
     resetServeDrain();
     EngineSession engine;
-    std::istringstream in(
+    std::string out;
+    SupervisorOptions options;
+    options.dispatchers = 1; // serial: "c" runs after "b" warmed up
+    SupervisorSummary summary = serveOverPipes(
+        engine,
         R"({"cmd":"ping","id":"a"})" "\n"
         "not json\n"
         R"({"cmd":"model","kernel":"micro_stream",)"
         R"("config":{"warps":4,"cores":2},"id":"b"})" "\n"
         R"({"cmd":"model","kernel":"micro_stream",)"
-        R"("config":{"warps":4,"cores":2},"id":"c"})" "\n");
-    std::ostringstream out;
-    ServeOptions options;
-    options.maxBatch = 1; // serial dispatch: fully ordered output
-    ServeSummary summary = serveLines(engine, in, out, options);
+        R"("config":{"warps":4,"cores":2},"id":"c"})" "\n",
+        out, options);
 
     EXPECT_EQ(summary.received, 4u);
     EXPECT_EQ(summary.evaluated, 3u);
@@ -444,7 +504,7 @@ TEST(ServeLoop, AnswersEveryLineInOrder)
     EXPECT_EQ(summary.shed, 0u);
     EXPECT_EQ(summary.failed, 0u);
 
-    std::istringstream lines(out.str());
+    std::istringstream lines(out);
     std::string line;
     std::uint64_t last_seq = 0;
     std::size_t count = 0;
@@ -453,7 +513,7 @@ TEST(ServeLoop, AnswersEveryLineInOrder)
         ASSERT_TRUE(doc.ok()) << line;
         std::uint64_t seq =
             static_cast<std::uint64_t>(doc.value().find("seq")->number());
-        EXPECT_GT(seq, last_seq); // maxBatch=1 keeps strict seq order
+        EXPECT_GT(seq, last_seq); // the writer keeps strict seq order
         last_seq = seq;
         ++count;
     }
@@ -464,7 +524,7 @@ TEST(ServeLoop, AnswersEveryLineInOrder)
     EXPECT_GE(engine.session().cache.profilerHits(), 1u);
 }
 
-TEST(ServeLoop, MalformedNumericsDoNotKillTheDaemon)
+TEST(ServeFd, MalformedNumericsDoNotKillTheDaemon)
 {
     // Regression: bad numeric fields used to reach fatal() via the
     // unchecked getDouble, killing the whole serving process. Each of
@@ -472,7 +532,11 @@ TEST(ServeLoop, MalformedNumericsDoNotKillTheDaemon)
     // — the trailing ping proves the daemon survived.
     resetServeDrain();
     EngineSession engine;
-    std::istringstream in(
+    std::string out;
+    SupervisorOptions options;
+    options.dispatchers = 1;
+    SupervisorSummary summary = serveOverPipes(
+        engine,
         R"({"cmd":"model","kernel":"micro_stream",)"
         R"("config":{"bw":-5},"id":"a"})" "\n"
         R"({"cmd":"sweep","kernel":"micro_stream",)"
@@ -481,15 +545,12 @@ TEST(ServeLoop, MalformedNumericsDoNotKillTheDaemon)
         R"("max_cost":-2,"id":"c"})" "\n"
         R"({"cmd":"sweep","kernel":"vectorAdd","param":"l1-kb",)"
         R"("values":[0.5],"id":"e"})" "\n"
-        R"({"cmd":"ping","id":"d"})" "\n");
-    std::ostringstream out;
-    ServeOptions options;
-    options.maxBatch = 1;
-    ServeSummary summary = serveLines(engine, in, out, options);
+        R"({"cmd":"ping","id":"d"})" "\n",
+        out, options);
 
     EXPECT_EQ(summary.received, 5u);
 
-    std::istringstream lines(out.str());
+    std::istringstream lines(out);
     std::string line;
     std::map<std::string, bool> ok_by_id;
     while (std::getline(lines, line)) {
@@ -506,12 +567,12 @@ TEST(ServeLoop, MalformedNumericsDoNotKillTheDaemon)
     EXPECT_TRUE(ok_by_id["d"]); // still alive
 }
 
-TEST(ServeLoop, ShedsWhenQueueIsFull)
+TEST(ServeFd, ShedsWhenQueueIsFull)
 {
     resetServeDrain();
     EngineSession engine;
     // First request stalls 300ms inside the engine (injected fault),
-    // with a queue bound of 1 and serial dispatch. The reader drains
+    // with a queue bound of 1 and one dispatcher. The reader drains
     // the remaining lines while the stall holds the dispatcher, so at
     // least one later request must be shed.
     std::ostringstream feed;
@@ -521,19 +582,20 @@ TEST(ServeLoop, ShedsWhenQueueIsFull)
          << "\n";
     for (int i = 0; i < 4; ++i)
         feed << R"({"cmd":"ping","id":"p)" << i << R"("})" << "\n";
-    std::istringstream in(feed.str());
-    std::ostringstream out;
-    ServeOptions options;
+    std::string out;
+    SupervisorOptions options;
     options.maxQueue = 1;
-    options.maxBatch = 1;
-    ServeSummary summary = serveLines(engine, in, out, options);
+    options.dispatchers = 1;
+    SupervisorSummary summary =
+        serveOverPipes(engine, feed.str(), out, options);
 
     EXPECT_EQ(summary.received, 5u);
     EXPECT_GE(summary.shed, 1u);
     EXPECT_EQ(summary.evaluated + summary.shed, 5u);
 
-    // Every shed response says so, with ResourceExhausted.
-    std::istringstream lines(out.str());
+    // Every shed response says so, with ResourceExhausted and a
+    // back-off hint.
+    std::istringstream lines(out);
     std::string line;
     std::size_t shed_seen = 0, responses = 0;
     while (std::getline(lines, line)) {
@@ -546,25 +608,60 @@ TEST(ServeLoop, ShedsWhenQueueIsFull)
             EXPECT_EQ(doc.value().find("status")->string(),
                       "resource_exhausted");
             EXPECT_FALSE(doc.value().find("ok")->boolean());
+            EXPECT_NE(doc.value().find("retry_after_ms"), nullptr);
         }
     }
     EXPECT_EQ(responses, 5u);
     EXPECT_EQ(shed_seen, summary.shed);
 }
 
-TEST(ServeLoop, DrainFlagStopsIntake)
+TEST(ServeFd, DrainFlagStopsIntake)
 {
     resetServeDrain();
     requestServeDrain();
     EXPECT_TRUE(serveDraining());
     EngineSession engine;
-    std::istringstream in(R"({"cmd":"ping"})" "\n");
-    std::ostringstream out;
-    ServeSummary summary = serveLines(engine, in, out);
+    std::string out;
+    SupervisorSummary summary =
+        serveOverPipes(engine, R"({"cmd":"ping"})" "\n", out);
     // Intake stopped before reading anything.
     EXPECT_EQ(summary.received, 0u);
-    EXPECT_TRUE(out.str().empty());
+    EXPECT_TRUE(out.empty());
     resetServeDrain();
+}
+
+TEST(ServeFd, DeadWriterStopsIntake)
+{
+    // `gpumech_serve < big.jsonl | head -1`: once nobody reads the
+    // output, intake stops at the next line instead of evaluating
+    // the rest of the input.
+    std::signal(SIGPIPE, SIG_IGN); // as gpumech_serve does
+    resetServeDrain();
+    EngineSession engine;
+    int in[2], out[2];
+    ASSERT_EQ(::pipe(in), 0);
+    ASSERT_EQ(::pipe(out), 0);
+    ::close(out[0]);
+    constexpr int kRest = 20;
+    std::thread feeder([&] {
+        writeAllTo(in[1], R"({"cmd":"ping"})" "\n");
+        // Ample time for the first answer's write to fail.
+        std::this_thread::sleep_for(std::chrono::milliseconds(500));
+        std::string rest;
+        for (int i = 0; i < kRest; ++i)
+            rest += R"({"cmd":"ping"})" "\n";
+        writeAllTo(in[1], rest); // one atomic pipe write
+        ::close(in[1]);
+    });
+    SupervisorSummary summary = serveFd(engine, in[0], out[1]);
+    feeder.join();
+    ::close(in[0]);
+    ::close(out[1]);
+
+    EXPECT_EQ(summary.evaluated, 1u);
+    EXPECT_EQ(summary.received, 2u); // the line that found it dead
+    // The lost first answer, that line, and the 19 behind it.
+    EXPECT_EQ(summary.dropped, 1u + kRest);
 }
 
 // ---------------------------------------------------------------------
@@ -947,6 +1044,62 @@ TEST(Supervisor, HealthPayloadSurvivesNoOutput)
 
     client.disconnect();
     server.stop();
+}
+
+TEST(Supervisor, MetricsRequestSeesOnlyItsOwnWork)
+{
+    // A "metrics":true request evaluates under the exclusive engine
+    // lock, so its registry delta holds its own cold profiler miss and
+    // none of the misses a concurrent client causes meanwhile.
+    struct MetricsOn
+    {
+        MetricsOn() { Metrics::enable(true); }
+        ~MetricsOn() { Metrics::enable(false); }
+    } metrics_on;
+    SupervisorOptions options;
+    options.dispatchers = 2;
+    SupervisedServer server(options);
+    SocketClient metered, other;
+    ASSERT_TRUE(metered.connectTo(server.path));
+    ASSERT_TRUE(other.connectTo(server.path));
+
+    const char *const kernels[] = {"micro_compute_chain",
+                                   "micro_pointer_chase",
+                                   "micro_sfu_heavy",
+                                   "micro_write_burst"};
+    for (const char *kernel : kernels) {
+        std::ostringstream req;
+        req << R"({"cmd":"model","kernel":")" << kernel
+            << R"(","config":{"warps":4,"cores":2},"id":")" << kernel
+            << R"("})";
+        ASSERT_TRUE(other.sendLine(req.str()));
+    }
+    ASSERT_TRUE(metered.sendLine(
+        R"({"cmd":"model","kernel":"micro_stream","metrics":true,)"
+        R"("config":{"warps":4,"cores":2},"id":"m"})"));
+
+    JsonValue doc;
+    ASSERT_TRUE(metered.readJson(doc));
+    EXPECT_TRUE(doc.find("ok")->boolean());
+    const JsonValue *metrics = doc.find("metrics");
+    ASSERT_NE(metrics, nullptr);
+    Result<JsonValue> delta = parseJson(metrics->string());
+    ASSERT_TRUE(delta.ok()) << metrics->string();
+    const JsonValue *misses =
+        delta.value().find("metrics")->find("cache.profiler.misses");
+    ASSERT_NE(misses, nullptr) << metrics->string();
+    EXPECT_EQ(misses->find("value")->number(), 1.0);
+
+    for (const char *kernel : kernels) {
+        ASSERT_TRUE(other.readJson(doc)) << kernel;
+        EXPECT_EQ(doc.find("id")->string(), kernel);
+        EXPECT_TRUE(doc.find("ok")->boolean());
+    }
+
+    metered.disconnect();
+    other.disconnect();
+    SupervisorSummary summary = server.stop();
+    EXPECT_EQ(summary.evaluated, 5u);
 }
 
 TEST(Supervisor, DrainAnswersEverythingInFlight)

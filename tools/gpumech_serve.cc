@@ -1,50 +1,50 @@
 /**
  * @file
- * `gpumech_serve`: a batching evaluation daemon over the same engine
+ * `gpumech_serve`: a JSON-lines evaluation daemon over the same engine
  * the CLI uses.
  *
  * Reads one JSON request per line (see README "Serving" and
  * service/request.hh for the schema), evaluates them on a shared
  * EngineSession — so the input cache stays warm across requests — and
  * writes one JSON response per line. By default it serves stdin to
- * stdout; --socket serves a Unix-domain stream socket instead, with
- * the connection supervisor (service/supervisor.hh) accepting many
- * clients concurrently: per-client in-flight quotas, retry_after_ms
- * back-off hints on shed responses, slow-reader/idle/oversized-line
- * eviction, and per-client response ordering.
+ * stdout; --socket serves a Unix-domain stream socket instead. Both
+ * run the connection supervisor (service/supervisor.hh): stdin/stdout
+ * is one connection of it, a socket accepts many clients
+ * concurrently. Every connection gets the same rules: per-client
+ * in-flight quotas, retry_after_ms back-off hints on shed responses,
+ * slow-reader/idle/oversized-line eviction, and per-client response
+ * ordering.
  *
  * Usage:
- *   gpumech_serve [--socket PATH] [--max-queue N] [--max-batch N]
- *                 [--jobs N] [--kernel-timeout-ms N] [--no-output]
- *                 [--metrics] [--dispatch N] [--max-inflight N]
- *                 [--write-timeout-ms N] [--idle-timeout-ms N]
- *                 [--max-line-bytes N]
+ *   gpumech_serve [--socket PATH] [--max-queue N] [--dispatch N]
+ *                 [--max-inflight N] [--jobs N]
+ *                 [--kernel-timeout-ms N] [--write-timeout-ms N]
+ *                 [--idle-timeout-ms N] [--max-line-bytes N]
+ *                 [--no-output] [--metrics]
  *
  *   --socket PATH          serve a Unix socket instead of stdin
- *   --max-queue N          admission bound: pending requests before
- *                          load-shedding (default 64)
- *   --max-batch N          stdin mode: requests evaluated
- *                          concurrently per dispatch round
- *                          (default 4; 1 = serial)
+ *   --max-queue N          admission bound: requests queued across
+ *                          all clients before load-shedding
+ *                          (default 64)
+ *   --dispatch N           requests evaluated concurrently
+ *                          (dispatcher threads, default 2)
+ *   --max-inflight N       per-client quota of admitted-but-
+ *                          unanswered requests (default 8)
  *   --jobs N               default worker threads per request, N >= 1
  *   --kernel-timeout-ms N  default per-kernel deadline (0 = off);
  *                          a request's "timeout_ms" overrides it
+ *   --write-timeout-ms N   disconnect a client that cannot absorb a
+ *                          response this long (default 5000; 0 = off;
+ *                          cannot fire on a blocking stdout)
+ *   --idle-timeout-ms N    disconnect a client idle this long
+ *                          (default 0 = never)
+ *   --max-line-bytes N     per-line byte cap; an oversized line ends
+ *                          that client (default 1 MiB)
  *   --no-output            omit the rendered report ("output" field)
  *                          from responses
  *   --metrics              enable the metrics registry so requests
  *                          with "metrics":true get a per-request
  *                          registry delta
- *
- * Socket-mode supervisor knobs:
- *   --dispatch N           dispatcher threads (default 2)
- *   --max-inflight N       per-client quota of admitted-but-
- *                          unanswered requests (default 8)
- *   --write-timeout-ms N   disconnect a client that cannot absorb a
- *                          response this long (default 5000; 0 = off)
- *   --idle-timeout-ms N    disconnect a client idle this long
- *                          (default 0 = never)
- *   --max-line-bytes N     per-line byte cap; an oversized line ends
- *                          that client (default 1 MiB)
  *
  * Draining: EOF on stdin (or SIGTERM / SIGINT) stops intake; every
  * already-admitted request is still answered before exit. Exit code 0
@@ -58,7 +58,6 @@
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/thread_pool.hh"
-#include "service/serve_loop.hh"
 #include "service/supervisor.hh"
 
 using namespace gpumech;
@@ -74,7 +73,7 @@ onDrainSignal(int)
 
 /**
  * Install SIGTERM/SIGINT handlers WITHOUT SA_RESTART: a blocking
- * read/poll must fail with EINTR so the serve loop notices the drain
+ * read/poll must fail with EINTR so the supervisor notices the drain
  * request instead of staying parked in the kernel. SIGPIPE is ignored
  * process-wide: every write already handles a closed peer by checking
  * the write result (net_io.hh), and a client vanishing mid-response
@@ -99,54 +98,38 @@ main(int argc, char **argv)
 {
     ArgParser args(argc, argv);
 
-    ServeOptions options;
     EngineOptions engine_options;
-    SupervisorOptions super;
-    std::uint32_t max_queue = 64, max_batch = 4, jobs = 0;
-    std::uint32_t dispatch = 2, max_inflight = 8;
-    std::uint32_t max_line_bytes = 1 << 20;
+    SupervisorOptions options;
     {
         auto queue = args.getPositiveUint("max-queue", 64);
-        auto batch = args.getPositiveUint("max-batch", 4);
         auto j = args.getPositiveUint("jobs", 0);
         auto disp = args.getPositiveUint("dispatch", 2);
         auto inflight = args.getPositiveUint("max-inflight", 8);
         auto line_cap =
             args.getPositiveUint("max-line-bytes", 1 << 20);
         for (const auto *status :
-             {&queue.status(), &batch.status(), &j.status(),
-              &disp.status(), &inflight.status(),
-              &line_cap.status()}) {
+             {&queue.status(), &j.status(), &disp.status(),
+              &inflight.status(), &line_cap.status()}) {
             if (!status->ok()) {
                 std::fprintf(stderr, "error: %s\n",
                              status->toString().c_str());
                 return 1;
             }
         }
-        max_queue = queue.value();
-        max_batch = batch.value();
-        jobs = j.value();
-        dispatch = disp.value();
-        max_inflight = inflight.value();
-        max_line_bytes = line_cap.value();
+        options.maxQueue = queue.value();
+        engine_options.jobs = j.value();
+        options.dispatchers = disp.value();
+        options.maxInflight = inflight.value();
+        options.maxLineBytes = line_cap.value();
     }
-    options.maxQueue = max_queue;
-    options.maxBatch = max_batch;
     options.includeOutput = !args.has("no-output");
-    engine_options.jobs = jobs;
+    options.writeTimeoutMs = args.getUint("write-timeout-ms", 5000);
+    options.idleTimeoutMs = args.getUint("idle-timeout-ms", 0);
     engine_options.kernelTimeoutMs =
         args.getUint("kernel-timeout-ms", 0);
 
-    super.maxQueue = max_queue;
-    super.dispatchers = dispatch;
-    super.maxInflight = max_inflight;
-    super.maxLineBytes = max_line_bytes;
-    super.writeTimeoutMs = args.getUint("write-timeout-ms", 5000);
-    super.idleTimeoutMs = args.getUint("idle-timeout-ms", 0);
-    super.includeOutput = options.includeOutput;
-
-    if (jobs != 0)
-        setDefaultJobs(jobs);
+    if (engine_options.jobs != 0)
+        setDefaultJobs(engine_options.jobs);
     if (args.has("metrics"))
         Metrics::enable(true);
 
@@ -155,30 +138,24 @@ main(int argc, char **argv)
     EngineSession engine(engine_options);
 
     std::string socket_path = args.get("socket");
-    if (!socket_path.empty()) {
+    Result<SupervisorSummary> served = SupervisorSummary{};
+    if (socket_path.empty()) {
+        served = serveFd(engine, 0, 1, options);
+    } else {
         inform(msg("serving on unix socket ", socket_path));
-        Result<SupervisorSummary> served =
-            serveSupervised(engine, socket_path, super);
-        if (!served.ok()) {
-            std::fprintf(stderr, "error: %s\n",
-                         served.status().toString().c_str());
-            return 1;
-        }
-        const SupervisorSummary &s = served.value();
-        inform(msg("drained: ", s.connections, " connections, ",
-                   s.received, " received, ", s.evaluated,
-                   " evaluated (", s.failed, " failed), ", s.shed,
-                   " shed, ", s.malformed, " malformed, ", s.dropped,
-                   " dropped, ", s.slowDisconnects, " slow / ",
-                   s.idleDisconnects, " idle / ", s.oversized,
-                   " oversized evictions"));
-        return 0;
+        served = serveSupervised(engine, socket_path, options);
     }
-
-    ServeSummary summary = serveFd(engine, 0, 1, options);
-    inform(msg("drained: ", summary.received, " received, ",
-               summary.evaluated, " evaluated (", summary.failed,
-               " failed), ", summary.shed, " shed, ",
-               summary.malformed, " malformed"));
+    if (!served.ok()) {
+        std::fprintf(stderr, "error: %s\n",
+                     served.status().toString().c_str());
+        return 1;
+    }
+    const SupervisorSummary &s = served.value();
+    inform(msg("drained: ", s.connections, " connections, ",
+               s.received, " received, ", s.evaluated, " evaluated (",
+               s.failed, " failed), ", s.shed, " shed, ", s.malformed,
+               " malformed, ", s.dropped, " dropped, ",
+               s.slowDisconnects, " slow / ", s.idleDisconnects,
+               " idle / ", s.oversized, " oversized evictions"));
     return 0;
 }

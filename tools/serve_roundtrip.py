@@ -74,10 +74,11 @@ def main():
         (line if isinstance(line, str) else json.dumps(line)) + "\n"
         for _, line in REQUESTS)
 
-    # max-batch 1 keeps responses in request order, which lets the
-    # order assertions below stay exact.
+    # One dispatcher evaluates the requests in order, so "stats"
+    # runs after the stalled "dl" suite and counts every prior
+    # engine-handled request.
     proc = subprocess.run(
-        [serve_bin, "--max-batch", "1"],
+        [serve_bin, "--dispatch", "1"],
         input=stdin, capture_output=True, text=True, timeout=120)
     if proc.returncode != 0:
         fail("daemon exited %d" % proc.returncode, proc.stderr)
