@@ -7,8 +7,11 @@
  * by running the interval algorithm of each warp in parallel, but we
  * did not explore this option". This bench explores it end to end:
  *
- *  1. per-warp interval profiling of one kernel, serial vs the shared
- *     pool at 1/2/4/8 threads (the original micro-measurement);
+ *  1. per-warp profiling of one kernel: the features pass that
+ *     representative selection reads (buildAllFeatures), serial vs
+ *     the shared pool at 1/2/4/8 threads, next to building every
+ *     warp's interval profile (buildAllProfiles, the path the profiler
+ *     took before it kept only the representative's profile);
  *  2. model-only suite prediction (predictSuite) over an MSHR sweep,
  *     at 1/2/4/8 threads, with and without the shared input cache —
  *     the design-space-exploration workload the cache targets;
@@ -27,7 +30,9 @@
  *          --out FILE (JSON output path, default BENCH_parallel.json)
  */
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <thread>
@@ -75,24 +80,18 @@ timeMs(unsigned reps, Fn &&fn)
     return best;
 }
 
+/** Bit-identical Eq. 6 inputs. */
 bool
-sameProfiles(const std::vector<IntervalProfile> &a,
-             const std::vector<IntervalProfile> &b)
+sameFeatures(const std::vector<WarpFeatures> &a,
+             const std::vector<WarpFeatures> &b)
 {
     if (a.size() != b.size())
         return false;
     for (std::size_t w = 0; w < a.size(); ++w) {
-        if (a[w].warpId != b[w].warpId ||
-            a[w].intervals.size() != b[w].intervals.size())
+        if (std::bit_cast<std::uint64_t>(a[w].perf) !=
+                std::bit_cast<std::uint64_t>(b[w].perf) ||
+            a[w].insts != b[w].insts)
             return false;
-        for (std::size_t i = 0; i < a[w].intervals.size(); ++i) {
-            const Interval &x = a[w].intervals[i];
-            const Interval &y = b[w].intervals[i];
-            if (x.numInsts != y.numInsts ||
-                x.stallCycles != y.stallCycles ||
-                x.mshrReqs != y.mshrReqs || x.dramReqs != y.dramReqs)
-                return false;
-        }
     }
     return true;
 }
@@ -138,35 +137,48 @@ main(int argc, char **argv)
                static_cast<std::uint64_t>(
                    std::thread::hardware_concurrency()));
 
-    // ---- 1. per-warp interval profiling of one kernel --------------
+    // ---- 1. per-warp profiling of one kernel ------------------------
     HardwareConfig config = HardwareConfig::baseline();
     KernelTrace kernel =
         workloadByName("srad_kernel1").generate(config);
     CollectorResult inputs = collectInputs(kernel, config);
 
-    auto serial_profiles = buildAllProfiles(kernel, inputs, config);
-    double serial_ms = timeMs(reps, [&] {
+    // Reference: every warp's full interval profile, reduced to the
+    // features afterwards.
+    std::vector<WarpFeatures> reference;
+    for (const IntervalProfile &p :
+         buildAllProfiles(kernel, inputs, config))
+        reference.push_back(p.features(config.issueRate));
+    double all_profiles_ms = timeMs(reps, [&] {
         auto p = buildAllProfiles(kernel, inputs, config);
     });
 
+    if (!sameFeatures(buildAllFeatures(kernel, inputs, config, 1),
+                      reference))
+        fatal("serial features pass diverged from the profiles");
+    double serial_ms = timeMs(reps, [&] {
+        auto f = buildAllFeatures(kernel, inputs, config, 1);
+    });
+
     Table prof_table({"threads", "ms", "speedup", "identical"});
+    prof_table.addRow({"all profiles", fmtDouble(all_profiles_ms, 2),
+                       fmtDouble(serial_ms / all_profiles_ms, 2), "-"});
     prof_table.addRow({"serial", fmtDouble(serial_ms, 2), "1.00",
-                       "-"});
+                       "yes"});
     json.beginObject("profiling");
     json.field("kernel", "srad_kernel1");
     json.field("warps", static_cast<std::uint64_t>(kernel.numWarps()));
+    json.field("all_profiles_ms", all_profiles_ms);
     json.field("serial_ms", serial_ms);
     double prof_t4_ms = serial_ms;
     for (unsigned t : threadCounts()) {
         setDefaultJobs(t);
-        auto check =
-            buildAllProfilesParallel(kernel, inputs, config, t);
-        bool same = sameProfiles(check, serial_profiles);
-        if (!same)
-            fatal(msg("parallel profiling diverged at ", t,
+        if (!sameFeatures(buildAllFeatures(kernel, inputs, config, t),
+                          reference))
+            fatal(msg("parallel features pass diverged at ", t,
                       " threads"));
         double ms = timeMs(reps, [&] {
-            auto p = buildAllProfilesParallel(kernel, inputs, config, t);
+            auto f = buildAllFeatures(kernel, inputs, config, t);
         });
         if (t == 4)
             prof_t4_ms = ms;
@@ -174,18 +186,20 @@ main(int argc, char **argv)
                            fmtDouble(serial_ms / ms, 2), "yes"});
         json.field(msg("t", t, "_ms"), ms);
     }
+    json.field("features_vs_all_profiles", all_profiles_ms / serial_ms);
     json.field("speedup_t4", serial_ms / prof_t4_ms);
     json.endObject();
 
-    std::cout << "-- per-warp interval profiling (srad_kernel1, "
-              << kernel.numWarps() << " warps) --\n";
+    std::cout << "-- per-warp features pass (srad_kernel1, "
+              << kernel.numWarps()
+              << " warps; speedup vs the serial pass) --\n";
     prof_table.print(std::cout);
 
     // ---- 2. suite prediction over an MSHR sweep --------------------
     // Model-only prediction (the use case the paper's 97x speedup
     // serves). The sweep varies MSHR count only, so with the input
     // cache enabled, every point after the first reuses each kernel's
-    // trace, collector result, and warp profiles.
+    // trace, collector result, and profiler.
     std::vector<Workload> suite;
     for (const char *name :
          {"srad_kernel1", "cfd_step_factor", "kmeans_invert_mapping",

@@ -79,6 +79,16 @@ ArgParser::positional(std::size_t i, const std::string &fallback) const
     return i < positionals.size() ? positionals[i] : fallback;
 }
 
+std::vector<std::string>
+ArgParser::optionNames() const
+{
+    std::vector<std::string> names;
+    names.reserve(options.size());
+    for (const auto &[name, value] : options)
+        names.push_back(name);
+    return names;
+}
+
 bool
 ArgParser::has(const std::string &name) const
 {

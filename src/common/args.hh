@@ -37,6 +37,9 @@ class ArgParser
     std::string positional(std::size_t i,
                            const std::string &fallback = "") const;
 
+    /** Names of every --name given, in sorted order. */
+    std::vector<std::string> optionNames() const;
+
     /** True when --name was given (with or without a value). */
     bool has(const std::string &name) const;
 

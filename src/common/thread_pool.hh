@@ -4,7 +4,7 @@
  *
  * The evaluation pipeline fans independent work out across a fixed
  * worker set instead of spawning threads per call (the per-call
- * std::thread spawning the original buildAllProfilesParallel used).
+ * std::thread spawning the original parallel warp profiler used).
  * The calling thread always participates in draining its own job, so
  * nested parallelFor calls cannot deadlock and a pool of concurrency 1
  * degenerates to a plain serial loop.

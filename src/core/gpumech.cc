@@ -106,27 +106,34 @@ GpuMechProfiler::GpuMechProfiler(
             collectInputsParallel(kernel, config, profile_threads));
     }
     {
+        // Select on the per-warp Eq. 6 inputs, then build the one
+        // interval profile anything reads.
         Span span("profile", kernel.name());
-        warpProfiles = profile_threads == 1
-            ? buildAllProfiles(kernel, *collected, config)
-            : buildAllProfilesParallel(kernel, *collected, config,
-                                       profile_threads);
-        repWarp = selectRepresentative(warpProfiles, config, selection,
-                                       num_clusters);
+        repWarp = selectRepresentative(
+            buildAllFeatures(kernel, *collected, config,
+                             profile_threads),
+            selection, num_clusters);
+        representative = std::make_shared<const IntervalProfile>(
+            buildIntervalProfile(kernel.warp(repWarp), *collected,
+                                 config));
     }
     // Seed the evaluateAt memos with the profiling configuration's
     // artifacts so re-evaluating at (or near) it is free.
     collectorMemo.put(config.collectorKey(), collected);
-    repMemo.put(repKey(config),
-                std::make_shared<const IntervalProfile>(
-                    warpProfiles[repWarp]));
+    repMemo.put(repKey(config), representative);
+}
+
+std::size_t
+GpuMechProfiler::memoryFootprint() const
+{
+    return representative->intervals.capacity() * sizeof(Interval);
 }
 
 GpuMechResult
 GpuMechProfiler::evaluate(SchedulingPolicy policy, ModelLevel level,
                           bool model_sfu) const
 {
-    return assemble(warpProfiles[repWarp], repWarp, *collected, config,
+    return assemble(*representative, repWarp, *collected, config,
                     policy, level, model_sfu);
 }
 

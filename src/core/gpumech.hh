@@ -104,14 +104,16 @@ GpuMechResult runGpuMech(const KernelTrace &kernel,
  * inputs + profiling all warps + clustering happen once per kernel
  * input, while evaluating a new hardware configuration only reruns
  * the cache simulation and the representative warp's interval
- * algorithm.
+ * algorithm. Profiling reduces each warp to its Eq. 6 inputs; only
+ * the representative's interval profile is ever built and kept.
  */
 class GpuMechProfiler
 {
   public:
     /**
-     * Profile a kernel: run the input collector, build every warp's
-     * interval profile and select the representative warp.
+     * Profile a kernel: run the input collector, reduce every warp to
+     * its Eq. 6 inputs (buildAllFeatures), select the representative
+     * warp and build its interval profile.
      *
      * @param profile_threads threads for the per-warp interval
      *        algorithm (Section VI-D's unexplored parallelization);
@@ -161,26 +163,30 @@ class GpuMechProfiler
     }
 
     const CollectorResult &inputs() const { return *collected; }
-    const std::vector<IntervalProfile> &profiles() const
-    {
-        return warpProfiles;
-    }
     std::uint32_t repIndex() const { return repWarp; }
-    const IntervalProfile &repProfile() const
-    {
-        return warpProfiles[repWarp];
-    }
+
+    /** The representative warp's profile at the profiling config. */
+    const IntervalProfile &repProfile() const { return *representative; }
+
+    /**
+     * Bytes this profiler holds itself once built: the capacity of its
+     * representative profile's intervals. The trace, the collector
+     * result and the MRC profile it points to are shared with their
+     * owners and not counted here.
+     */
+    std::size_t memoryFootprint() const;
 
   private:
     const KernelTrace &kernel;
     HardwareConfig config;
     std::shared_ptr<const MrcProfile> mrcProfile; //!< null = rerun mode
     std::shared_ptr<const CollectorResult> collected;
-    std::vector<IntervalProfile> warpProfiles;
     std::uint32_t repWarp = 0;
+    std::shared_ptr<const IntervalProfile> representative;
 
     // evaluateAt memos, keyed by the configuration fields each stage
-    // reads (seeded with the profiling configuration's results).
+    // reads (seeded with the profiling configuration's results, which
+    // they share with collected and representative).
     mutable MemoCache<CollectorResult> collectorMemo;
     mutable MemoCache<IntervalProfile> repMemo;
 };

@@ -22,6 +22,14 @@ IntervalProfile::totalStallCycles() const
 }
 
 double
+warpPerf(std::uint64_t insts, double stall_cycles, double issue_rate)
+{
+    double cycles =
+        static_cast<double>(insts) / issue_rate + stall_cycles;
+    return cycles == 0.0 ? 0.0 : static_cast<double>(insts) / cycles;
+}
+
+double
 IntervalProfile::totalCycles(double issue_rate) const
 {
     return static_cast<double>(totalInsts()) / issue_rate +
@@ -31,10 +39,14 @@ IntervalProfile::totalCycles(double issue_rate) const
 double
 IntervalProfile::warpPerf(double issue_rate) const
 {
-    double cycles = totalCycles(issue_rate);
-    return cycles == 0.0
-        ? 0.0
-        : static_cast<double>(totalInsts()) / cycles;
+    return gpumech::warpPerf(totalInsts(), totalStallCycles(),
+                             issue_rate);
+}
+
+WarpFeatures
+IntervalProfile::features(double issue_rate) const
+{
+    return {warpPerf(issue_rate), totalInsts()};
 }
 
 double

@@ -55,6 +55,24 @@ struct Interval
     double sfuInsts = 0.0;
 };
 
+/**
+ * Warp performance (Eq. 5): IPC of a warp that issues @p insts
+ * instructions at @p issue_rate and stalls @p stall_cycles cycles in
+ * total; 0 when the warp takes no cycles.
+ */
+double warpPerf(std::uint64_t insts, double stall_cycles,
+                double issue_rate);
+
+/**
+ * A warp reduced to the two inputs of representative selection
+ * (Eq. 6), bit-identical to its profile's warpPerf() and totalInsts().
+ */
+struct WarpFeatures
+{
+    double perf = 0.0;       //!< warp performance (Eq. 5)
+    std::uint64_t insts = 0; //!< instruction count
+};
+
 /** Interval profile of one warp (Eq. 2). */
 struct IntervalProfile
 {
@@ -78,6 +96,9 @@ struct IntervalProfile
      * the issue probability of Eq. 9.
      */
     double warpPerf(double issue_rate) const;
+
+    /** This warp's Eq. 6 inputs: {warpPerf(), totalInsts()}. */
+    WarpFeatures features(double issue_rate) const;
 
     /** Average instructions per interval (Eq. 13). */
     double avgIntervalInsts() const;

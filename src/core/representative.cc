@@ -20,48 +20,45 @@ toString(RepSelection sel)
 }
 
 std::vector<FeatureVector>
-warpFeatures(const std::vector<IntervalProfile> &profiles,
-             const HardwareConfig &config)
+warpFeatures(const std::vector<WarpFeatures> &warps)
 {
-    if (profiles.empty())
-        panic("warpFeatures: no profiles");
+    if (warps.empty())
+        panic("warpFeatures: no warps");
 
     double avg_perf = 0.0;
     double avg_insts = 0.0;
-    for (const auto &p : profiles) {
-        avg_perf += p.warpPerf(config.issueRate);
-        avg_insts += static_cast<double>(p.totalInsts());
+    for (const WarpFeatures &w : warps) {
+        avg_perf += w.perf;
+        avg_insts += static_cast<double>(w.insts);
     }
-    avg_perf /= static_cast<double>(profiles.size());
-    avg_insts /= static_cast<double>(profiles.size());
+    avg_perf /= static_cast<double>(warps.size());
+    avg_insts /= static_cast<double>(warps.size());
     if (avg_perf == 0.0 || avg_insts == 0.0)
-        panic("warpFeatures: degenerate profiles (zero average)");
+        panic("warpFeatures: degenerate warps (zero average)");
 
     std::vector<FeatureVector> features;
-    features.reserve(profiles.size());
-    for (const auto &p : profiles) {
-        features.push_back(
-            {p.warpPerf(config.issueRate) / avg_perf,
-             static_cast<double>(p.totalInsts()) / avg_insts});
+    features.reserve(warps.size());
+    for (const WarpFeatures &w : warps) {
+        features.push_back({w.perf / avg_perf,
+                            static_cast<double>(w.insts) / avg_insts});
     }
     return features;
 }
 
 std::uint32_t
-selectRepresentative(const std::vector<IntervalProfile> &profiles,
-                     const HardwareConfig &config, RepSelection sel,
-                     std::uint32_t num_clusters)
+selectRepresentative(const std::vector<WarpFeatures> &warps,
+                     RepSelection sel, std::uint32_t num_clusters)
 {
-    if (profiles.empty())
-        panic("selectRepresentative: no profiles");
-    if (profiles.size() == 1)
+    if (warps.empty())
+        panic("selectRepresentative: no warps");
+    if (warps.size() == 1)
         return 0;
 
     if (sel == RepSelection::MaxPerf || sel == RepSelection::MinPerf) {
         std::uint32_t best = 0;
-        for (std::uint32_t i = 1; i < profiles.size(); ++i) {
-            double a = profiles[i].warpPerf(config.issueRate);
-            double b = profiles[best].warpPerf(config.issueRate);
+        for (std::uint32_t i = 1; i < warps.size(); ++i) {
+            double a = warps[i].perf;
+            double b = warps[best].perf;
             bool better = sel == RepSelection::MaxPerf ? a > b : a < b;
             if (better)
                 best = i;
@@ -69,7 +66,7 @@ selectRepresentative(const std::vector<IntervalProfile> &profiles,
         return best;
     }
 
-    auto features = warpFeatures(profiles, config);
+    auto features = warpFeatures(warps);
     KmeansResult clusters = kmeans(features, num_clusters);
     std::uint32_t largest = clusters.largestCluster();
     return clusters.closestToCenter(features, largest);

@@ -13,9 +13,9 @@
 #define GPUMECH_CORE_REPRESENTATIVE_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "common/config.hh"
 #include "core/interval.hh"
 #include "core/kmeans.hh"
 
@@ -33,23 +33,24 @@ enum class RepSelection
 /** Human-readable selection name. */
 std::string toString(RepSelection sel);
 
-/** Build the Eq. 6 feature vectors for a set of warp profiles. */
+/**
+ * Build the Eq. 6 feature vectors: each warp's performance and
+ * instruction count, normalized by their averages over @p warps.
+ */
 std::vector<FeatureVector>
-warpFeatures(const std::vector<IntervalProfile> &profiles,
-             const HardwareConfig &config);
+warpFeatures(const std::vector<WarpFeatures> &warps);
 
 /**
  * Pick the representative warp.
  *
- * @param profiles interval profiles of every warp (non-empty)
- * @param config machine description (issue rate)
+ * @param warps Eq. 6 inputs of every warp (non-empty; see
+ *        buildAllFeatures)
  * @param sel selection method
  * @param num_clusters k for the Clustering method (the paper uses 2)
- * @return index into @p profiles of the representative warp
+ * @return index into @p warps of the representative warp
  */
 std::uint32_t selectRepresentative(
-    const std::vector<IntervalProfile> &profiles,
-    const HardwareConfig &config,
+    const std::vector<WarpFeatures> &warps,
     RepSelection sel = RepSelection::Clustering,
     std::uint32_t num_clusters = 2);
 

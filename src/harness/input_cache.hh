@@ -30,6 +30,7 @@
 #ifndef GPUMECH_HARNESS_INPUT_CACHE_HH
 #define GPUMECH_HARNESS_INPUT_CACHE_HH
 
+#include <atomic>
 #include <memory>
 #include <string>
 
@@ -40,7 +41,10 @@
 namespace gpumech
 {
 
-/** A cached profiler plus the trace that keeps its reference valid. */
+/**
+ * A cached profiler plus the trace that keeps its reference valid.
+ * The profiler holds the representative warp's interval profile only.
+ */
 struct ProfiledKernel
 {
     std::shared_ptr<const KernelTrace> trace;
@@ -60,8 +64,8 @@ class InputCache
     inputs(const Workload &workload, const HardwareConfig &config);
 
     /**
-     * Fully-profiled kernel (inputs + all warp profiles + selected
-     * representative). The profiler may have been constructed at a
+     * Fully-profiled kernel (inputs + selected representative and its
+     * interval profile). The profiler may have been constructed at a
      * different configuration with the same key, so evaluate through
      * GpuMechProfiler::evaluateAt(config, ...) — never evaluate() —
      * when using a cached profiler.
@@ -104,10 +108,22 @@ class InputCache
     std::size_t mrcHits() const { return mrcs.hits(); }
     std::size_t mrcMisses() const { return mrcs.misses(); }
 
-    /** Drop every cached artifact. */
+    /** Heap bytes of every cached trace (KernelTrace::memoryFootprint). */
+    std::size_t traceBytes() const { return traceByteTotal.load(); }
+
+    /**
+     * Bytes the cached profilers, rerun and MRC alike, hold themselves
+     * (GpuMechProfiler::memoryFootprint), summed when each is built.
+     */
+    std::size_t profilerBytes() const { return profilerByteTotal.load(); }
+
+    /** Drop every cached artifact and zero the byte totals. */
     void clear();
 
   private:
+    std::atomic<std::size_t> traceByteTotal{0};
+    std::atomic<std::size_t> profilerByteTotal{0};
+
     MemoCache<KernelTrace> traces;
     MemoCache<CollectorResult> collected;
     MemoCache<ProfiledKernel> profilers;

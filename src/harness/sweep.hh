@@ -86,8 +86,8 @@ struct SweepResult
  * The (point x workload) grid fans out across the shared thread pool,
  * and an input cache is shared across the whole sweep: points that
  * only differ in model parameters (MSHR count, DRAM bandwidth) reuse
- * each workload's trace, collector result, and warp profiles instead
- * of recomputing them. Result layout and every number are
+ * each workload's trace, collector result, and profiler instead of
+ * recomputing them. Result layout and every number are
  * bit-identical to a serial, uncached sweep.
  *
  * @param workloads kernels to evaluate

@@ -112,7 +112,7 @@ handleModel(EvalSession &session, const Request &req, std::ostream &os)
             return fail(found.status());
         w = found.value();
     }
-    // Warm path: trace + collector + warp profiles come from the
+    // Warm path: trace + collector + profiler come from the
     // session cache; only the (cheap) analytical evaluation runs per
     // request. evaluateAt keeps the result bit-identical to the old
     // CLI's runGpuMech (pinned by test_parallel and cli_golden).
@@ -734,6 +734,10 @@ EngineSession::dispatch(const Request &req)
         json.field("profiler_misses",
                    static_cast<std::uint64_t>(
                        eval.cache.profilerMisses()));
+        json.field("trace_bytes", static_cast<std::uint64_t>(
+                                      eval.cache.traceBytes()));
+        json.field("profiler_bytes", static_cast<std::uint64_t>(
+                                         eval.cache.profilerBytes()));
         json.endObject();
         os << json.finish() << "\n";
         break;

@@ -8,7 +8,7 @@
  * exactly the bytes the pre-split CLI printed to stdout — the
  * cli_golden test pins this — while routing every artifact through the
  * session cache, so a repeat request evaluates model-only instead of
- * regenerating its trace, collector result, and warp profiles.
+ * regenerating its trace, collector result, and profiler.
  *
  * handle() is a containment boundary: a handler's StatusException or
  * unexpected std::exception becomes a failed Response (exit-code 1),

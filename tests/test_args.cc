@@ -63,6 +63,17 @@ TEST(Args, MixedPositionalsAndOptions)
     EXPECT_EQ(a.get("policy"), "gto");
 }
 
+TEST(Args, OptionNamesListsEveryGivenOption)
+{
+    ArgParser a({"serve", "--socket", "/tmp/s", "--no-output",
+                 "--jobs=2", "extra"});
+    EXPECT_EQ(a.optionNames(),
+              (std::vector<std::string>{"jobs", "no-output", "socket"}));
+    EXPECT_TRUE(ArgParser(std::vector<std::string>{"model"})
+                    .optionNames()
+                    .empty());
+}
+
 TEST(Args, DefaultsWhenAbsent)
 {
     ArgParser a({});

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/interval_builder.hh"
 #include "trace/trace_builder.hh"
 #include "workloads/workload.hh"
@@ -213,21 +216,16 @@ TEST(Interval, ParallelProfilingMatchesSerial)
         workloadByName("micro_control_divergent").generate(config);
     CollectorResult inputs = collectInputs(kernel, config);
     auto serial = buildAllProfiles(kernel, inputs, config);
-    for (unsigned threads : {2u, 3u, 8u}) {
-        auto parallel =
-            buildAllProfilesParallel(kernel, inputs, config, threads);
-        ASSERT_EQ(parallel.size(), serial.size());
+    for (unsigned threads : {1u, 2u, 3u, 8u}) {
+        auto features = buildAllFeatures(kernel, inputs, config, threads);
+        ASSERT_EQ(features.size(), serial.size());
         for (std::size_t w = 0; w < serial.size(); ++w) {
-            ASSERT_EQ(parallel[w].intervals.size(),
-                      serial[w].intervals.size())
+            WarpFeatures want = serial[w].features(config.issueRate);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(features[w].perf),
+                      std::bit_cast<std::uint64_t>(want.perf))
                 << "threads=" << threads << " warp=" << w;
-            for (std::size_t i = 0; i < serial[w].intervals.size();
-                 ++i) {
-                EXPECT_EQ(parallel[w].intervals[i].numInsts,
-                          serial[w].intervals[i].numInsts);
-                EXPECT_DOUBLE_EQ(parallel[w].intervals[i].stallCycles,
-                                 serial[w].intervals[i].stallCycles);
-            }
+            EXPECT_EQ(features[w].insts, want.insts)
+                << "threads=" << threads << " warp=" << w;
         }
     }
 }

@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 
@@ -226,27 +228,22 @@ TEST(ThreadPoolTest, FreeFunctionRoutesJobCounts)
 
 // ---- parallel per-warp profiling ------------------------------------
 
+/**
+ * The features pass must equal, bit for bit, the features of the
+ * serial reference profiles.
+ */
 void
-expectProfilesIdentical(const std::vector<IntervalProfile> &a,
-                        const std::vector<IntervalProfile> &b)
+expectFeaturesMatchProfiles(const std::vector<WarpFeatures> &features,
+                            const std::vector<IntervalProfile> &profiles,
+                            const HardwareConfig &config)
 {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t w = 0; w < a.size(); ++w) {
-        EXPECT_EQ(a[w].warpId, b[w].warpId);
-        ASSERT_EQ(a[w].intervals.size(), b[w].intervals.size())
+    ASSERT_EQ(features.size(), profiles.size());
+    for (std::size_t w = 0; w < profiles.size(); ++w) {
+        WarpFeatures want = profiles[w].features(config.issueRate);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(features[w].perf),
+                  std::bit_cast<std::uint64_t>(want.perf))
             << "warp " << w;
-        for (std::size_t i = 0; i < a[w].intervals.size(); ++i) {
-            const Interval &x = a[w].intervals[i];
-            const Interval &y = b[w].intervals[i];
-            EXPECT_EQ(x.numInsts, y.numInsts);
-            EXPECT_EQ(x.stallCycles, y.stallCycles);
-            EXPECT_EQ(x.cause, y.cause);
-            EXPECT_EQ(x.causePc, y.causePc);
-            EXPECT_EQ(x.mshrReqs, y.mshrReqs);
-            EXPECT_EQ(x.dramReqs, y.dramReqs);
-            EXPECT_EQ(x.memInsts, y.memInsts);
-            EXPECT_EQ(x.sfuInsts, y.sfuInsts);
-        }
+        EXPECT_EQ(features[w].insts, want.insts) << "warp " << w;
     }
 }
 
@@ -260,9 +257,9 @@ TEST(ParallelProfiling, ManyWarpKernelMatchesSerialAtAllThreadCounts)
 
     auto serial = buildAllProfiles(kernel, inputs, config);
     for (unsigned threads : {1u, 2u, 3u, 8u}) {
-        auto parallel =
-            buildAllProfilesParallel(kernel, inputs, config, threads);
-        expectProfilesIdentical(serial, parallel);
+        expectFeaturesMatchProfiles(
+            buildAllFeatures(kernel, inputs, config, threads), serial,
+            config);
     }
 }
 
@@ -273,13 +270,14 @@ TEST(ParallelProfiling, SmallKernelTakesSerialFallback)
     config.warpsPerCore = 1;
     KernelTrace kernel = workloadByName("vectorAdd").generate(config);
     ASSERT_GE(kernel.numWarps(), 1u);
+    ASSERT_LT(kernel.numWarps(), parallelWarpThreshold);
     CollectorResult inputs = collectInputs(kernel, config);
 
     auto serial = buildAllProfiles(kernel, inputs, config);
     for (unsigned threads : {2u, 8u}) {
-        auto parallel =
-            buildAllProfilesParallel(kernel, inputs, config, threads);
-        expectProfilesIdentical(serial, parallel);
+        expectFeaturesMatchProfiles(
+            buildAllFeatures(kernel, inputs, config, threads), serial,
+            config);
     }
 }
 
@@ -289,8 +287,8 @@ TEST(ParallelProfiling, EmptyKernelYieldsNoProfiles)
     CollectorResult inputs;
     HardwareConfig config = HardwareConfig::baseline();
     EXPECT_TRUE(buildAllProfiles(kernel, inputs, config).empty());
-    EXPECT_TRUE(
-        buildAllProfilesParallel(kernel, inputs, config, 4).empty());
+    EXPECT_TRUE(buildAllFeatures(kernel, inputs, config, 1).empty());
+    EXPECT_TRUE(buildAllFeatures(kernel, inputs, config, 4).empty());
 }
 
 // ---- parallel suite / sweep evaluation ------------------------------

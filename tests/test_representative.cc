@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/config.hh"
 #include "core/representative.hh"
 
 namespace gpumech
@@ -24,6 +25,17 @@ makeProfile(std::uint32_t warp_id, std::uint64_t insts, double stalls)
     return p;
 }
 
+/** Each profile's Eq. 6 inputs, as the features pass computes them. */
+std::vector<WarpFeatures>
+featuresOf(const std::vector<IntervalProfile> &profiles,
+           const HardwareConfig &config)
+{
+    std::vector<WarpFeatures> features;
+    for (const IntervalProfile &p : profiles)
+        features.push_back(p.features(config.issueRate));
+    return features;
+}
+
 TEST(Representative, FeatureVectorsNormalizedByAverages)
 {
     HardwareConfig config = HardwareConfig::baseline();
@@ -31,7 +43,7 @@ TEST(Representative, FeatureVectorsNormalizedByAverages)
         makeProfile(0, 10, 10.0), // perf 0.5
         makeProfile(1, 10, 30.0), // perf 0.25
     };
-    auto features = warpFeatures(profiles, config);
+    auto features = warpFeatures(featuresOf(profiles, config));
     ASSERT_EQ(features.size(), 2u);
     // Average perf 0.375, average insts 10.
     EXPECT_NEAR(features[0][0], 0.5 / 0.375, 1e-12);
@@ -48,10 +60,10 @@ TEST(Representative, MaxAndMinSelectors)
         makeProfile(1, 10, 90.0), // perf 0.10
         makeProfile(2, 10, 40.0), // perf 0.20
     };
-    EXPECT_EQ(selectRepresentative(profiles, config,
+    EXPECT_EQ(selectRepresentative(featuresOf(profiles, config),
                                    RepSelection::MaxPerf),
               0u);
-    EXPECT_EQ(selectRepresentative(profiles, config,
+    EXPECT_EQ(selectRepresentative(featuresOf(profiles, config),
                                    RepSelection::MinPerf),
               1u);
 }
@@ -67,8 +79,8 @@ TEST(Representative, ClusteringPicksFromMajorityGroup)
     profiles.push_back(makeProfile(5, 10, 900.0));
     profiles.push_back(makeProfile(6, 12, 880.0));
 
-    std::uint32_t rep = selectRepresentative(profiles, config,
-                                             RepSelection::Clustering);
+    std::uint32_t rep = selectRepresentative(
+        featuresOf(profiles, config), RepSelection::Clustering);
     EXPECT_LT(rep, 5u);
 }
 
@@ -78,7 +90,9 @@ TEST(Representative, SingleWarpTrivial)
     std::vector<IntervalProfile> profiles = {makeProfile(0, 10, 5.0)};
     for (auto sel : {RepSelection::Clustering, RepSelection::MaxPerf,
                      RepSelection::MinPerf}) {
-        EXPECT_EQ(selectRepresentative(profiles, config, sel), 0u);
+        EXPECT_EQ(
+            selectRepresentative(featuresOf(profiles, config), sel),
+            0u);
     }
 }
 
@@ -88,7 +102,8 @@ TEST(Representative, HomogeneousWarpsAnyChoiceIsFine)
     std::vector<IntervalProfile> profiles;
     for (std::uint32_t w = 0; w < 8; ++w)
         profiles.push_back(makeProfile(w, 50, 25.0));
-    std::uint32_t rep = selectRepresentative(profiles, config);
+    std::uint32_t rep =
+        selectRepresentative(featuresOf(profiles, config));
     EXPECT_LT(rep, 8u);
     // All profiles identical: the selected one has the common perf.
     EXPECT_DOUBLE_EQ(profiles[rep].warpPerf(config.issueRate),
@@ -106,7 +121,8 @@ TEST(Representative, InstructionCountDisambiguates)
         profiles.push_back(makeProfile(w, 100, 100.0)); // perf 0.5
     for (std::uint32_t w = 6; w < 9; ++w)
         profiles.push_back(makeProfile(w, 400, 400.0)); // perf 0.5
-    std::uint32_t rep = selectRepresentative(profiles, config);
+    std::uint32_t rep =
+        selectRepresentative(featuresOf(profiles, config));
     EXPECT_LT(rep, 6u);
 }
 

@@ -404,6 +404,36 @@ TEST(EngineSession, PerRequestDeadlineContained)
         << resp.output;
 }
 
+TEST(EngineSession, StatsReportsWarmStateBytes)
+{
+    // A cached profiler keeps only its representative warp's interval
+    // profile, a sliver of the trace it models: for srad_kernel1's
+    // 512 warps, the every-warp profiles it used to keep outweighed
+    // the trace itself.
+    EngineSession engine;
+    Request model;
+    model.verb = Verb::Model;
+    model.kernel = "srad_kernel1";
+    ASSERT_EQ(model.config.numCores * model.config.warpsPerCore, 512u);
+    Response mresp = engine.handle(model);
+    ASSERT_TRUE(mresp.ok()) << mresp.status.toString();
+
+    Request stats;
+    stats.verb = Verb::Stats;
+    Response sresp = engine.handle(stats);
+    ASSERT_TRUE(sresp.ok());
+    Result<JsonValue> doc = parseJson(sresp.output);
+    ASSERT_TRUE(doc.ok()) << sresp.output;
+    const JsonValue *cache = doc.value().find("cache");
+    ASSERT_NE(cache, nullptr) << sresp.output;
+    ASSERT_NE(cache->find("trace_bytes"), nullptr) << sresp.output;
+    ASSERT_NE(cache->find("profiler_bytes"), nullptr) << sresp.output;
+    double trace_bytes = cache->find("trace_bytes")->number();
+    double profiler_bytes = cache->find("profiler_bytes")->number();
+    EXPECT_GT(profiler_bytes, 0.0);
+    EXPECT_LT(100.0 * profiler_bytes, trace_bytes) << sresp.output;
+}
+
 TEST(EngineSession, PingAndStats)
 {
     EngineSession engine;

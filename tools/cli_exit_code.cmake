@@ -2,7 +2,7 @@
 # value. Invoked by the cli_exit_* ctest entries (see CMakeLists.txt):
 #
 #   cmake -DGPUMECH_BIN=<path> "-DGPUMECH_ARGS=a;b;c"
-#         -DEXPECTED_CODE=N -P cli_exit_code.cmake
+#         -DEXPECTED_CODE=N [-DSTDIN_FILE=<path>] -P cli_exit_code.cmake
 #
 # The exit-code contract this pins: 0 full success, 2 partial success
 # (contained per-kernel failures), 1 total failure (bad arguments, bad
@@ -12,8 +12,15 @@ if(NOT DEFINED GPUMECH_BIN OR NOT DEFINED EXPECTED_CODE)
     message(FATAL_ERROR "GPUMECH_BIN and EXPECTED_CODE are required")
 endif()
 
+# Optional STDIN_FILE feeds the binary's stdin (the daemon reads it).
+set(input_args)
+if(DEFINED STDIN_FILE)
+    set(input_args INPUT_FILE ${STDIN_FILE})
+endif()
+
 execute_process(
     COMMAND ${GPUMECH_BIN} ${GPUMECH_ARGS}
+    ${input_args}
     RESULT_VARIABLE actual_code
     OUTPUT_VARIABLE run_output
     ERROR_VARIABLE run_errors)

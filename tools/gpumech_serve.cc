@@ -46,13 +46,18 @@
  *                          with "metrics":true get a per-request
  *                          registry delta
  *
+ * Any other option, and any positional argument, is an error at
+ * startup, before a socket is bound or stdin is read.
+ *
  * Draining: EOF on stdin (or SIGTERM / SIGINT) stops intake; every
  * already-admitted request is still answered before exit. Exit code 0
  * after a clean drain, 1 on setup/argument errors.
  */
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
+#include <iterator>
 
 #include "common/args.hh"
 #include "common/logging.hh"
@@ -91,12 +96,31 @@ installSignalHandlers()
     signal(SIGPIPE, SIG_IGN);
 }
 
+/** The documented options, as in the usage above. */
+constexpr const char *knownOptions[] = {
+    "socket", "max-queue", "dispatch", "max-inflight", "jobs",
+    "kernel-timeout-ms", "write-timeout-ms", "idle-timeout-ms",
+    "max-line-bytes", "no-output", "metrics"};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     ArgParser args(argc, argv);
+    for (const std::string &name : args.optionNames()) {
+        if (std::find(std::begin(knownOptions), std::end(knownOptions),
+                      name) == std::end(knownOptions)) {
+            std::fprintf(stderr, "error: unknown option --%s\n",
+                         name.c_str());
+            return 1;
+        }
+    }
+    if (args.numPositional() > 0) {
+        std::fprintf(stderr, "error: unexpected argument '%s'\n",
+                     args.positional(0).c_str());
+        return 1;
+    }
 
     EngineOptions engine_options;
     SupervisorOptions options;
