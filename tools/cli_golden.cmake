@@ -9,7 +9,9 @@
 # this test pins the engine/front-end split: every subcommand routed
 # through EngineSession must stay bit-identical to the original
 # in-process pipeline, including table layout, JSON field order, and
-# rounding.
+# rounding. The last six cases came later: they pin the tune, compare,
+# sweep-mode and machine-override options the first seven never pass,
+# so a change to argument parsing that moves their output shows here.
 
 if(NOT DEFINED GPUMECH_BIN OR NOT DEFINED GOLDEN_DIR
    OR NOT DEFINED WORK_DIR)
@@ -27,7 +29,13 @@ set(cases
     "stack_micro|stack micro_stream --warps 8 --cores 2"
     "suite_micro_predict|suite micro --predict --warps 4 --cores 2"
     "sweep_micro_mshrs|sweep micro_stream --param mshrs --values 8,16 --warps 4 --cores 2"
-    "simulate_micro_json|simulate micro_stream --warps 4 --cores 2 --json")
+    "simulate_micro_json|simulate micro_stream --warps 4 --cores 2 --json"
+    "tune_micro_cost|tune micro_stream --warps 4 --cores 2 --dims mshrs,bw --mshrs-values 8,16,32 --objective cpi-cost --restarts 2 --seed 3 --max-cpi 100 --cost-weights mshrs=0.2,bw=1 --sweep-mode rerun"
+    "tune_micro_approx|tune micro_stream --warps 4 --cores 2 --dims l1-kb,scheduler --allow-approx --mrc-rate 0.5"
+    "compare_micro_gto|compare micro_stream --warps 4 --cores 2 --policy gto"
+    "sweep_micro_l1_mrc|sweep micro_stream --warps 4 --cores 2 --param l1-kb --values 16,32,64 --sweep-mode mrc --mrc-rate 0.5"
+    "sweep_micro_bw_oracle|sweep micro_stream --warps 4 --cores 2 --param bw --values 96,192 --oracle"
+    "model_micro_sfu_json|model micro_stream --warps 4 --cores 2 --level mt --model-sfu --sfu-lanes 8 --bw 96.5 --mshrs 16 --json")
 
 foreach(case ${cases})
     string(FIND "${case}" "|" sep)
