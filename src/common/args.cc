@@ -1,53 +1,61 @@
 #include "common/args.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <optional>
 
 #include "common/logging.hh"
 
 namespace gpumech
 {
 
-namespace
-{
-
-/**
- * @p value as a uint32 when it is plain decimal digits up to
- * 4294967295. strtoul alone would wrap "-1" and let the uint32 cast
- * truncate anything past 32 bits.
- */
 std::optional<std::uint32_t>
-parseUint32(const std::string &value)
+parseUint32(const std::string &text)
 {
-    if (value.find_first_not_of("0123456789") != std::string::npos)
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos)
         return std::nullopt;
     errno = 0;
-    unsigned long long v = std::strtoull(value.c_str(), nullptr, 10);
+    unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
     if (errno != 0 || v > 0xffffffffull)
         return std::nullopt;
     return static_cast<std::uint32_t>(v);
 }
 
-} // namespace
+std::optional<double>
+parseFiniteDouble(const std::string &text)
+{
+    // strtod skips leading whitespace; a shell-quoted "--bw ' 8'" is
+    // still malformed here, matching parseUint32.
+    char *end = nullptr;
+    double v = std::strtod(text.c_str(), &end);
+    if (text.empty() ||
+        std::isspace(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || !std::isfinite(v))
+        return std::nullopt;
+    return v;
+}
 
-ArgParser::ArgParser(int argc, const char *const *argv)
+ArgParser::ArgParser(int argc, const char *const *argv,
+                     const std::vector<std::string> &flags)
 {
     std::vector<std::string> tokens;
     for (int i = 1; i < argc; ++i)
         tokens.emplace_back(argv[i]);
-    parse(tokens);
+    parse(tokens, flags);
 }
 
-ArgParser::ArgParser(const std::vector<std::string> &tokens)
+ArgParser::ArgParser(const std::vector<std::string> &tokens,
+                     const std::vector<std::string> &flags)
 {
-    parse(tokens);
+    parse(tokens, flags);
 }
 
 void
-ArgParser::parse(const std::vector<std::string> &tokens)
+ArgParser::parse(const std::vector<std::string> &tokens,
+                 const std::vector<std::string> &flags)
 {
     for (std::size_t i = 0; i < tokens.size(); ++i) {
         const std::string &tok = tokens[i];
@@ -61,9 +69,11 @@ ArgParser::parse(const std::vector<std::string> &tokens)
             options[body.substr(0, eq)] = body.substr(eq + 1);
             continue;
         }
-        // "--key value" when the next token is not an option;
-        // otherwise a bare flag.
-        if (i + 1 < tokens.size() &&
+        // "--key value" when the next token is not an option and the
+        // name is not a known flag; otherwise a bare flag.
+        const bool flag =
+            std::find(flags.begin(), flags.end(), body) != flags.end();
+        if (!flag && i + 1 < tokens.size() &&
             tokens[i + 1].rfind("--", 0) != 0) {
             options[body] = tokens[i + 1];
             ++i;
@@ -140,23 +150,13 @@ ArgParser::getDouble(const std::string &name, double fallback) const
     auto it = options.find(name);
     if (it == options.end() || it->second.empty())
         return fallback;
-    const std::string &value = it->second;
-    // strtod skips leading whitespace; a shell-quoted "--bw ' 8'" is
-    // still a malformed value here, matching getPositiveUint.
-    char *end = nullptr;
-    double v = std::strtod(value.c_str(), &end);
-    if (std::isspace(static_cast<unsigned char>(value[0])) ||
-        end == nullptr || *end != '\0' || end == value.c_str()) {
+    std::optional<double> v = parseFiniteDouble(it->second);
+    if (!v) {
         return Status(StatusCode::InvalidArgument,
-                      msg("--", name, " expects a number, got '",
-                          value, "'"));
+                      msg("--", name, " expects a finite number, got '",
+                          it->second, "'"));
     }
-    if (!std::isfinite(v)) {
-        return Status(StatusCode::InvalidArgument,
-                      msg("--", name, " must be finite, got '", value,
-                          "'"));
-    }
-    return v;
+    return *v;
 }
 
 } // namespace gpumech

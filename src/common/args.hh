@@ -4,7 +4,8 @@
  *
  * Supports positional arguments plus `--flag`, `--key value`, and
  * `--key=value` options. Deliberately tiny: no subcommand tree, no
- * auto-help generation.
+ * auto-help generation. A caller that knows which names are flags
+ * passes them in, so a flag never swallows the next token.
  */
 
 #ifndef GPUMECH_COMMON_ARGS_HH
@@ -12,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,15 +22,33 @@
 namespace gpumech
 {
 
+/**
+ * @p text as a uint32 when it is plain decimal digits up to
+ * 4294967295. strtoul alone would wrap "-1" and let a uint32 cast
+ * truncate anything past 32 bits.
+ */
+std::optional<std::uint32_t> parseUint32(const std::string &text);
+
+/**
+ * @p text as a finite double when strtod consumes all of it. Leading
+ * whitespace, "nan", "inf" and overflow such as "1e999" are rejected.
+ */
+std::optional<double> parseFiniteDouble(const std::string &text);
+
 /** Parsed command line. */
 class ArgParser
 {
   public:
-    /** Parse from main()'s argv (argv[0] is skipped). */
-    ArgParser(int argc, const char *const *argv);
+    /**
+     * Parse from main()'s argv (argv[0] is skipped). Names in
+     * @p flags take no value: "--flag x" leaves x a positional.
+     */
+    ArgParser(int argc, const char *const *argv,
+              const std::vector<std::string> &flags = {});
 
     /** Parse from a token list (for tests). */
-    explicit ArgParser(const std::vector<std::string> &tokens);
+    explicit ArgParser(const std::vector<std::string> &tokens,
+                       const std::vector<std::string> &flags = {});
 
     /** Number of positional (non-option) arguments. */
     std::size_t numPositional() const { return positionals.size(); }
@@ -72,16 +92,16 @@ class ArgParser
      * StatusCode::InvalidArgument instead of calling fatal() (a bad
      * numeric option in a served request must produce one error
      * response, never kill the daemon). Non-finite values are rejected
-     * too: strtod happily parses "nan"/"inf"/"1e999", none of which is
-     * a meaningful rate/bandwidth/constraint and +inf even slips past
-     * HardwareConfig's `value > 0` validation. Absent/valueless
+     * too (parseFiniteDouble): none of "nan"/"inf"/"1e999" is a
+     * meaningful rate, bandwidth or constraint. Absent/valueless
      * options return @p fallback unchecked.
      */
     Result<double> getDouble(const std::string &name,
                              double fallback) const;
 
   private:
-    void parse(const std::vector<std::string> &tokens);
+    void parse(const std::vector<std::string> &tokens,
+               const std::vector<std::string> &flags);
 
     std::vector<std::string> positionals;
     std::map<std::string, std::string> options;

@@ -1,5 +1,6 @@
 #include "common/config.hh"
 
+#include <cmath>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -41,13 +42,13 @@ invalidField(const char *field, const std::string &why)
                   msg("config field ", field, ": ", why));
 }
 
-/** Positive-count check naming the field. */
+/** Positive, finite check naming the field (+inf is no rate). */
 Status
 requirePositive(const char *field, double value)
 {
-    if (value > 0.0)
+    if (value > 0.0 && std::isfinite(value))
         return Status();
-    return invalidField(field, msg("must be > 0, got ", value));
+    return invalidField(field, msg("must be finite and > 0, got ", value));
 }
 
 /**

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/config.hh"
 
 namespace gpumech
@@ -77,6 +79,12 @@ TEST(ConfigValidate, RejectsNonPositiveRates)
 
     config = HardwareConfig::baseline();
     config.dramBandwidthGBs = 0.0;
+    expectRejects(config, "dramBandwidthGBs");
+
+    // +inf is "> 0" but no bandwidth; it used to be served as
+    // "DRAM inf GB/s".
+    config = HardwareConfig::baseline();
+    config.dramBandwidthGBs = std::numeric_limits<double>::infinity();
     expectRejects(config, "dramBandwidthGBs");
 }
 

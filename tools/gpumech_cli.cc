@@ -10,53 +10,13 @@
  * engine from JSON lines, so CLI output and daemon output are the same
  * bytes (pinned by the cli_golden test).
  *
- * Subcommands:
- *   gpumech list                       list registered workloads
- *   gpumech model <kernel>             GPUMech prediction + CPI stack
- *   gpumech simulate <kernel>          detailed timing simulation
- *   gpumech compare <kernel>           all five models vs the oracle
- *   gpumech sweep <kernel>             sweep one hardware parameter
- *   gpumech tune <kernel>              guided design-space search
- *   gpumech stack <kernel>             CPI stacks across warp counts
- *   gpumech dump-trace <kernel> <file> write the kernel trace to disk
- *   gpumech pack <in> <out.gmt>        convert a trace to binary .gmt
- *   gpumech unpack <in.gmt> <out>      convert a binary trace to text
- *   gpumech model-trace <file...>      model trace files
- *   gpumech suite <suite>              evaluate a whole suite with
- *                                      per-kernel fault isolation
- *                                      (`--suite <suite>` is an
- *                                      equivalent spelling)
+ * `gpumech` with no arguments prints every command and option, read
+ * from the verb and option tables that parse them (service/request.hh).
  *
  * Exit codes (documented in README.md):
  *   0  full success
  *   1  total failure (bad arguments / config, or every kernel failed)
  *   2  partial success (suite completed but some kernels failed)
- *
- * Common hardware options (all subcommands):
- *   --warps N        warps per core           (default 32)
- *   --cores N        number of cores          (default 16)
- *   --mshrs N        L1 MSHR entries          (default 32)
- *   --bw GBs         DRAM bandwidth in GB/s   (default 192)
- *   --sfu-lanes N    SFU lanes per core       (default 32)
- *   --policy rr|gto  scheduling policy        (default rr)
- *   --level mt|mshr|band                      (default band)
- *   --model-sfu      enable the SFU contention extension
- *   --jobs N         worker threads for suite/sweep evaluation, N >= 1
- *                    (default: GPUMECH_JOBS env var, else hardware
- *                    concurrency; results are identical at any count)
- *
- * Isolation (suite / compare / model-trace):
- *   --kernel-timeout-ms N  per-kernel deadline; 0 = off
- *   --inject kernel:site[:attempt[:stallMs]][,...]
- *                          deterministic fault injection (sites:
- *                          parse, collect, profile, cache)
- *
- * Observability (all subcommands; model outputs are bit-identical
- * with or without these flags):
- *   --metrics            print a metrics summary table to stderr
- *   --metrics-json FILE  write the merged metrics registry as JSON
- *   --trace-out FILE     write per-kernel, per-stage spans as Chrome
- *                        trace-event JSON (open in Perfetto)
  */
 
 #include <cstdio>
@@ -75,64 +35,37 @@ using namespace gpumech;
 namespace
 {
 
+/** One usage line; a long left column pushes the help down a line. */
+void
+usageLine(const std::string &left, const std::string &help)
+{
+    if (left.size() > 28)
+        std::printf("  %s\n%31s%s\n", left.c_str(), "", help.c_str());
+    else
+        std::printf("  %-28s %s\n", left.c_str(), help.c_str());
+}
+
+/** Every command and argv option, with its help line. */
 void
 usage()
 {
-    std::cout <<
-        "usage: gpumech <command> [options]\n"
-        "commands:\n"
-        "  list                     list registered workloads\n"
-        "  model <kernel>           GPUMech prediction + CPI stack\n"
-        "  simulate <kernel>        detailed timing simulation\n"
-        "  compare <kernel>         all models vs the oracle\n"
-        "  sweep <kernel>           sweep one hardware parameter\n"
-        "                           (--param warps|mshrs|bw|sfu-lanes\n"
-        "                            |l1-kb|l2-kb --values a,b,c\n"
-        "                            [--sweep-mode rerun|mrc]\n"
-        "                            [--mrc-rate r] [--oracle])\n"
-        "  tune <kernel>            guided design-space search (JSON\n"
-        "                           report: best point, Pareto\n"
-        "                           frontier, CPI-stack explanations,\n"
-        "                           bottleneck advisor)\n"
-        "                           ([--dims d1,d2,...] over cores,\n"
-        "                            warps, mshrs, bw, l1-kb, l2-kb,\n"
-        "                            scheduler; [--<dim>-values a,b,c]\n"
-        "                            [--objective cpi|cpi-cost]\n"
-        "                            [--restarts n] [--seed s]\n"
-        "                            [--max-cost c] [--max-cpi c]\n"
-        "                            [--cost-weights dim=w,...]\n"
-        "                            [--sweep-mode mrc|rerun]\n"
-        "                            [--mrc-rate r] [--allow-approx])\n"
-        "  stack <kernel>           CPI stacks across warp counts\n"
-        "  dump-trace <kernel> <f>  write the kernel trace to a file\n"
-        "                           (binary .gmt when f ends in .gmt,\n"
-        "                            text otherwise; --varint packs\n"
-        "                            the .gmt line pool as deltas)\n"
-        "  pack <in> <out.gmt>      convert a trace file to the binary\n"
-        "                           columnar .gmt format [--varint]\n"
-        "  unpack <in.gmt> <out>    convert a binary trace to text\n"
-        "  model-trace <f...>       model trace files (text or .gmt,\n"
-        "                           detected by content; several files\n"
-        "                           stream with decode/collect overlap\n"
-        "                           and per-file fault containment)\n"
-        "  suite <suite>            evaluate every kernel of a suite\n"
-        "                           with per-kernel fault isolation\n"
-        "                           ([--predict] model-only; --suite S\n"
-        "                            is an equivalent spelling)\n"
-        "options: --warps N --cores N --mshrs N --bw GBs\n"
-        "         --sfu-lanes N --policy rr|gto --level mt|mshr|band\n"
-        "         --model-sfu --json (model/simulate)\n"
-        "         --jobs N (threads, N >= 1; default GPUMECH_JOBS or\n"
-        "          hardware concurrency)\n"
-        "         --kernel-timeout-ms N (per-kernel deadline; 0 = off)\n"
-        "         --inject kernel:site[:attempt[:stallMs]][,...]\n"
-        "          (deterministic fault injection; sites: parse,\n"
-        "           collect, profile, cache)\n"
-        "         --metrics (summary table on stderr)\n"
-        "         --metrics-json FILE (metrics registry as JSON)\n"
-        "         --trace-out FILE (Chrome trace-event JSON of\n"
-        "          per-kernel stage spans; open in ui.perfetto.dev)\n"
-        "exit codes: 0 success, 1 total failure, 2 partial (suite)\n";
+    std::printf("usage: gpumech <command> [options]\ncommands:\n");
+    for (const VerbSpec &verb : verbTable())
+        usageLine(msg(verb.name, " ", verb.synopsis), verb.help);
+    std::printf("options:\n");
+    for (const OptionSpec &row : optionTable()) {
+        if (row.flag == nullptr)
+            continue; // JSON only
+        std::string scope;
+        for (const VerbSpec &verb : verbTable()) {
+            if (row.verbs != ~0u && (row.verbs & verbBit(verb.verb)))
+                scope += msg(scope.empty() ? " (" : ", ", verb.name);
+        }
+        usageLine(msg("--", row.flag, " ", row.arg),
+                  msg(row.help, scope, scope.empty() ? "" : ")"));
+    }
+    std::printf("exit codes: 0 success, 1 total failure, 2 partial "
+                "(suite)\n");
 }
 
 /**
@@ -173,11 +106,9 @@ emitObservability(const ArgParser &args)
 int
 main(int argc, char **argv)
 {
-    ArgParser args(argc, argv);
+    ArgParser args(argc, argv, requestFlagNames());
 
-    std::string cmd = args.positional(0);
-    if (cmd.empty() && args.has("suite"))
-        cmd = "suite"; // `gpumech --suite stress` alias
+    const std::string cmd = argvCommand(args);
     if (cmd.empty()) {
         usage();
         return 0;
@@ -187,9 +118,9 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Workload-independent argument errors (malformed counts, bad
-    // policy/level/inject specs, out-of-range configuration) surface
-    // here, before any evaluation starts.
+    // Workload-independent argument errors (unknown options, malformed
+    // counts, bad policy/level/inject specs, out-of-range
+    // configuration) surface here, before any evaluation starts.
     Result<Request> parsed = requestFromArgs(args);
     if (!parsed.ok()) {
         std::fprintf(stderr, "error: %s\n",
@@ -198,7 +129,7 @@ main(int argc, char **argv)
     }
     Request request = std::move(parsed).value();
 
-    if (args.has("jobs"))
+    if (request.jobs != 0)
         setDefaultJobs(request.jobs);
     if (args.has("metrics") || !args.get("metrics-json").empty())
         Metrics::enable(true);
