@@ -52,6 +52,21 @@ TEST(Args, TrailingBareFlag)
     EXPECT_EQ(a.positional(0), "compare");
 }
 
+TEST(Args, KnownFlagNeverTakesTheNextToken)
+{
+    // Without the flag list "--predict micro" read "micro" as the
+    // flag's value.
+    ArgParser a({"suite", "--predict", "micro", "--json=false", "--warps",
+                 "4"},
+                {"predict", "json"});
+    EXPECT_EQ(a.positional(1), "micro");
+    EXPECT_TRUE(a.has("predict"));
+    EXPECT_EQ(a.get("predict", "unset"), "unset");
+    // "--flag=value" keeps its value, so the caller can reject it.
+    EXPECT_EQ(a.get("json"), "false");
+    EXPECT_EQ(a.getUint("warps", 0), 4u);
+}
+
 TEST(Args, MixedPositionalsAndOptions)
 {
     ArgParser a({"dump-trace", "--warps=4", "vectorAdd", "/tmp/x",

@@ -53,6 +53,12 @@ REQUESTS = [
                  "kernel": "no_such_kernel"}),
     ("badcfg", {"id": "badcfg", "cmd": "model",
                 "kernel": "micro_stream", "config": {"warps": 0}}),
+    # Schema rejections: a machine override outside "config", and an
+    # infinite bandwidth (a raw line: json.dumps would write Infinity).
+    ("unknown", {"id": "unknown", "cmd": "model",
+                 "kernel": "micro_stream", "warps": 4}),
+    ("infbw", '{"id":"infbw","cmd":"model","kernel":"micro_stream",'
+              '"config":{"bw":1e999}}'),
     # The stalled kernel must be one the m1/m2 warm-up did NOT prime:
     # the collect-site injection only fires when inputs are actually
     # rebuilt, and a session-cache hit skips that stage entirely.
@@ -146,16 +152,20 @@ def main():
         fail("failed response should carry an error message", bad)
 
     # Unknown kernel and invalid config are total failures (exit 1).
-    # badcfg is rejected at request validation, before reaching the
-    # engine — the daemon must still echo its correlation id.
+    # badcfg, unknown and infbw are rejected at request validation,
+    # before reaching the engine — the daemon must still echo their
+    # correlation ids.
     missing = by_id["missing"]
     if missing["ok"] or missing["code"] != 1 \
             or missing["status"] != "not_found":
         fail("unknown kernel should be not_found, exit 1", missing)
-    badcfg = by_id["badcfg"]
-    if badcfg["ok"] or badcfg["code"] != 1 \
-            or badcfg["status"] != "invalid_argument":
-        fail("warps=0 should be invalid_argument, exit 1", badcfg)
+    for rid, why in (("badcfg", "warps=0"),
+                     ("unknown", "a top-level \"warps\""),
+                     ("infbw", "bw=1e999")):
+        resp = by_id[rid]
+        if resp["ok"] or resp["code"] != 1 \
+                or resp["status"] != "invalid_argument":
+            fail("%s should be invalid_argument, exit 1" % why, resp)
 
     # Deadline-exceeded kernel is contained: partial success, the
     # stalled kernel is reported failed, the suite still answers.
@@ -169,8 +179,9 @@ def main():
     # Control verbs.
     if by_id["ping"]["output"] != "pong\n":
         fail("ping should answer pong", by_id["ping"])
-    # The two reader-rejected lines (malformed, badcfg) never reach
-    # the engine, so stats counts the five prior handled requests.
+    # The reader-rejected lines (malformed, badcfg, unknown, infbw)
+    # never reach the engine, so stats counts the five prior handled
+    # requests.
     stats = json.loads(by_id["stats"]["output"])
     if stats["requests"] != 5:
         fail("stats should count the 5 engine-handled requests",
