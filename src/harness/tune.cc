@@ -191,20 +191,6 @@ toString(TuneObjective objective)
     return "?";
 }
 
-bool
-parseTuneObjective(const std::string &text, TuneObjective &out)
-{
-    if (text == "cpi") {
-        out = TuneObjective::MinCpi;
-        return true;
-    }
-    if (text == "cpi-cost") {
-        out = TuneObjective::MinCpiCost;
-        return true;
-    }
-    return false;
-}
-
 TuneCostModel::TuneCostModel()
 {
     for (const DimSpec &spec : dimSpecs()) {

@@ -71,9 +71,6 @@ enum class TuneObjective
 /** CLI name of an objective ("cpi" / "cpi-cost"). */
 std::string toString(TuneObjective objective);
 
-/** Parse an objective name; false leaves @p out untouched. */
-bool parseTuneObjective(const std::string &text, TuneObjective &out);
-
 /**
  * Declared resource-cost function: a weighted sum of each priced
  * knob's value relative to the baseline configuration,
