@@ -1,5 +1,6 @@
 #include "common/config.hh"
 
+#include <charconv>
 #include <cmath>
 #include <sstream>
 
@@ -157,6 +158,35 @@ HardwareConfig::collectorKey() const
        << latency.intAlu << '|' << latency.fpAlu << '|' << latency.sfu
        << '|' << latency.sharedMem << '|' << latency.branch;
     return os.str();
+}
+
+Status
+Knob::check(double v) const
+{
+    if (std::isfinite(v) && v > 0.0 &&
+        (!integral() || (v == std::floor(v) && v <= max)))
+        return Status();
+    char value[32];
+    *std::to_chars(value, value + sizeof(value) - 1, v).ptr = '\0';
+    return Status(StatusCode::InvalidArgument,
+                  msg("bad value ", value, " for '", name,
+                      "' (must be a positive ",
+                      integral() ? msg("integer up to ", max) : "number",
+                      ")"));
+}
+
+std::string
+knobNames(Knob::Surface surface, char separator)
+{
+    std::string names;
+    for (const Knob &knob : knobTable) {
+        if (!knob.accepts(surface))
+            continue;
+        if (!names.empty())
+            names += separator;
+        names += knob.name;
+    }
+    return names;
 }
 
 } // namespace gpumech

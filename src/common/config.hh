@@ -1,14 +1,16 @@
 /**
  * @file
- * Hardware configuration of the modeled GPU (paper Table I) plus the
- * sweep values used in the evaluation section.
+ * Hardware configuration of the modeled GPU (paper Table I), and the
+ * knob table: the fields that overrides, sweep and tune set by name.
  */
 
 #ifndef GPUMECH_COMMON_CONFIG_HH
 #define GPUMECH_COMMON_CONFIG_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
 #include "common/status.hh"
 
@@ -181,6 +183,92 @@ struct HardwareConfig
      */
     std::string collectorKey() const;
 };
+
+/**
+ * One machine knob: a HardwareConfig field that the overrides, sweep
+ * and tune set by name. Values are in the knob's unit, KB for the
+ * cache sizes; the field holds the value times scale.
+ */
+struct Knob
+{
+    /** The surfaces that set knobs by name, as bits of surfaces: the
+     *  overrides (--warps N), sweep's --param and tune's --dims. */
+    enum Surface : std::uint32_t { Override = 1, Sweep = 2, Tune = 4 };
+
+    const char *name;                     //!< argv, sweep and tune name
+    std::uint32_t HardwareConfig::*count; //!< an integral knob's field
+    double HardwareConfig::*real;         //!< else, a real knob's field
+    std::uint32_t scale;                  //!< field units per knob unit
+    std::uint32_t max;                    //!< an integral knob's largest
+    bool reshapesTrace;                   //!< changes traceKey()
+    std::uint32_t surfaces;               //!< Surface bits
+    double tuneWeight;                    //!< tune's default cost weight
+    std::initializer_list<double> tuneLadder; //!< tune's default values
+
+    bool integral() const { return count != nullptr; }
+    bool accepts(Surface surface) const { return surfaces & surface; }
+
+    /** Set the field to @p v units; an integral value truncates first. */
+    void
+    set(HardwareConfig &config, double v) const
+    {
+        if (integral())
+            config.*count = static_cast<std::uint32_t>(v) * scale;
+        else
+            config.*real = v;
+    }
+
+    /** The field's value in knob units. */
+    double
+    get(const HardwareConfig &config) const
+    {
+        return integral() ? config.*count / static_cast<double>(scale)
+                          : config.*real;
+    }
+
+    /** Ok when @p v is finite, positive and, for an integral knob, a
+     *  whole number up to max; else InvalidArgument naming both. */
+    Status check(double v) const;
+};
+
+/**
+ * The knob table. Tune's ladders bracket the Table I baseline (16
+ * cores, 32 warps/core, 32 MSHRs, 192 GB/s, 32KB L1, 768KB L2), so its
+ * restart 0 snaps onto the grid exactly; the cache sizes stay
+ * multiples of line x assoc = 1KB, which validate() requires.
+ */
+inline constexpr Knob knobTable[] = {
+    {"cores", &HardwareConfig::numCores, nullptr, 1, 0xffffffffu, true,
+     Knob::Override | Knob::Tune, 1.0, {4, 8, 16, 24, 32}},
+    {"warps", &HardwareConfig::warpsPerCore, nullptr, 1, 0xffffffffu,
+     true, Knob::Override | Knob::Sweep | Knob::Tune, 0.25,
+     {8, 16, 24, 32, 48}},
+    {"mshrs", &HardwareConfig::numMshrs, nullptr, 1, 0xffffffffu, false,
+     Knob::Override | Knob::Sweep | Knob::Tune, 0.1, {8, 16, 32, 64, 128}},
+    {"bw", nullptr, &HardwareConfig::dramBandwidthGBs, 1, 0, false,
+     Knob::Override | Knob::Sweep | Knob::Tune, 0.5,
+     {96, 192, 288, 384, 512}},
+    {"sfu-lanes", &HardwareConfig::sfuLanes, nullptr, 1, 0xffffffffu,
+     false, Knob::Override | Knob::Sweep, 0.0, {}},
+    {"l1-kb", &HardwareConfig::l1SizeBytes, nullptr, 1024, maxCacheKb,
+     false, Knob::Sweep | Knob::Tune, 0.15, {8, 16, 32, 64}},
+    {"l2-kb", &HardwareConfig::l2SizeBytes, nullptr, 1024, maxCacheKb,
+     false, Knob::Sweep | Knob::Tune, 0.3, {192, 384, 768, 1536}},
+};
+
+/** The row named @p name, or nullptr. */
+constexpr const Knob *
+findKnob(std::string_view name)
+{
+    for (const Knob &knob : knobTable) {
+        if (name == knob.name)
+            return &knob;
+    }
+    return nullptr;
+}
+
+/** Names of the knobs @p surface accepts, in table order. */
+std::string knobNames(Knob::Surface surface, char separator);
 
 } // namespace gpumech
 

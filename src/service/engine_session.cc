@@ -229,16 +229,22 @@ handleSweep(EvalSession &session, const Request &req, std::ostream &os)
             return fail(found.status());
         w = found.value();
     }
+    const Knob *knob = findKnob(req.sweepParam);
+    if (knob == nullptr || !knob->accepts(Knob::Sweep)) {
+        return fail(Status(StatusCode::Internal,
+                           msg("sweep: no sweep parameter '",
+                               req.sweepParam, "'")));
+    }
     const HardwareConfig &base = req.config;
     bool mrc = req.sweepMode == SweepMode::Mrc;
 
     // Profile once at the base configuration; each point re-evaluates
-    // (Section VI-D). The warps axis changes the trace itself
-    // (occupancy), so those points profile at their own configuration
-    // — through the cache, so a repeated sweep is model-only. In MRC
-    // mode the profiler carries a shared reuse-distance profile, so
-    // the cache-geometry axes derive each cell instead of re-running
-    // the functional simulation.
+    // (Section VI-D). A knob that reshapes the trace (warps, through
+    // occupancy) profiles each point at its own configuration —
+    // through the cache, so a repeated sweep is model-only. In MRC mode
+    // the profiler carries a shared reuse-distance profile, so the
+    // cache-geometry axes derive each cell instead of re-running the
+    // functional simulation.
     ProfiledKernel base_pk =
         mrc ? session.cache.mrcProfiler(*w, base, req.mrcRate)
             : session.cache.profiler(*w, base);
@@ -251,24 +257,12 @@ handleSweep(EvalSession &session, const Request &req, std::ostream &os)
 
     for (double v : req.sweepValues) {
         HardwareConfig config = base;
-        if (req.sweepParam == "warps") {
-            config.warpsPerCore = static_cast<std::uint32_t>(v);
-        } else if (req.sweepParam == "mshrs") {
-            config.numMshrs = static_cast<std::uint32_t>(v);
-        } else if (req.sweepParam == "bw") {
-            config.dramBandwidthGBs = v;
-        } else if (req.sweepParam == "l1-kb") {
-            config.l1SizeBytes = static_cast<std::uint32_t>(v) * 1024;
-        } else if (req.sweepParam == "l2-kb") {
-            config.l2SizeBytes = static_cast<std::uint32_t>(v) * 1024;
-        } else {
-            config.sfuLanes = static_cast<std::uint32_t>(v);
-        }
+        knob->set(config, v);
         if (Status valid = config.validate(); !valid.ok())
             return fail(valid);
 
         ProfiledKernel pk =
-            req.sweepParam == "warps"
+            knob->reshapesTrace
                 ? (mrc ? session.cache.mrcProfiler(*w, config,
                                                    req.mrcRate)
                        : session.cache.profiler(*w, config))

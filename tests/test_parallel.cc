@@ -19,6 +19,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "common/config.hh"
 #include "common/status.hh"
 #include "common/thread_pool.hh"
 #include "core/interval_builder.hh"
@@ -509,6 +510,20 @@ TEST(CacheKeys, TraceAndCollectorInputsAreIncluded)
     l1.l1SizeBytes = base.l1SizeBytes * 2;
     EXPECT_EQ(base.traceKey(), l1.traceKey());
     EXPECT_NE(base.collectorKey(), l1.collectorKey());
+}
+
+TEST(CacheKeys, KnobTableMatchesTraceKey)
+{
+    // Sweep and tune re-profile a point only for a knob whose row says
+    // it reshapes the trace; every other knob reuses the base trace.
+    const HardwareConfig base = HardwareConfig::baseline();
+    for (const Knob &knob : knobTable) {
+        HardwareConfig moved = base;
+        knob.set(moved, knob.get(base) * 2);
+        EXPECT_EQ(knob.get(moved), knob.get(base) * 2) << knob.name;
+        EXPECT_EQ(moved.traceKey() != base.traceKey(), knob.reshapesTrace)
+            << knob.name;
+    }
 }
 
 TEST(CacheKeys, CollectorOutputInvariantUnderExcludedFields)

@@ -468,8 +468,9 @@ TEST(RequestSchema, ArgvAndJsonSpellingsParseAlike)
          R"({"cmd":"pack","paths":["a","b"],"varint":true})"},
         {"--param", {"sweep", "k", "--param", "l1-kb"},
          sweep + R"("param":"l1-kb"})"},
-        {"--values", {"sweep", "k", "--param", "bw", "--values", "96,192.5"},
-         sweep + R"("param":"bw","values":[96,192.5]})"},
+        {"--values",
+         {"sweep", "k", "--param", "bw", "--values", "96,192.5,5000000000"},
+         sweep + R"("param":"bw","values":[96,192.5,5000000000]})"},
         {"--values", {"sweep", "k", "--values", ","},
          sweep + R"("values":[]})"}, // empty: the default ladder
         {"--oracle", {"sweep", "k", "--oracle"}, sweep + R"("oracle":true})"},

@@ -331,6 +331,11 @@ TEST(Tune, DefaultLaddersResolveAndSchedulerSearches)
     ASSERT_EQ(result.dims.size(), 2u);
     EXPECT_EQ(result.dims[1].values, (std::vector<double>{0, 1}));
     EXPECT_EQ(result.spaceSize, 4u);
+
+    // bw is any finite positive number, as in overrides and sweeps.
+    options.dims = {{"bw", {192, 5e9}}};
+    Result<TuneResult> wide = runTune(session, w, smallBase(), options);
+    EXPECT_TRUE(wide.ok()) << wide.status().toString();
 }
 
 TEST(Tune, CostModelIsWeightedRatioSumAndSchedulerIsFree)
