@@ -44,20 +44,6 @@ toString(SweepMode mode)
     return "?";
 }
 
-bool
-parseSweepMode(const std::string &text, SweepMode &out)
-{
-    if (text == "rerun") {
-        out = SweepMode::Rerun;
-        return true;
-    }
-    if (text == "mrc") {
-        out = SweepMode::Mrc;
-        return true;
-    }
-    return false;
-}
-
 std::string
 toString(ModelKind kind)
 {

@@ -48,12 +48,6 @@ enum class SweepMode
 /** CLI name of a sweep mode ("rerun" / "mrc"). */
 std::string toString(SweepMode mode);
 
-/**
- * Parse a CLI sweep-mode name; returns false (leaving @p out
- * untouched) on anything but "rerun" or "mrc".
- */
-bool parseSweepMode(const std::string &text, SweepMode &out);
-
 /** The evaluated models (Table II). */
 enum class ModelKind
 {

@@ -573,14 +573,6 @@ TEST(MrcSweep, MrcModeCompletesAndStaysClose)
 
 TEST(MrcSweep, ParseSweepMode)
 {
-    SweepMode mode = SweepMode::Mrc;
-    EXPECT_TRUE(parseSweepMode("rerun", mode));
-    EXPECT_EQ(mode, SweepMode::Rerun);
-    EXPECT_TRUE(parseSweepMode("mrc", mode));
-    EXPECT_EQ(mode, SweepMode::Mrc);
-    SweepMode untouched = SweepMode::Rerun;
-    EXPECT_FALSE(parseSweepMode("bogus", untouched));
-    EXPECT_EQ(untouched, SweepMode::Rerun);
     EXPECT_EQ(toString(SweepMode::Rerun), "rerun");
     EXPECT_EQ(toString(SweepMode::Mrc), "mrc");
 }
