@@ -118,30 +118,27 @@ ArgParser::get(const std::string &name, const std::string &fallback)
 std::uint32_t
 ArgParser::getUint(const std::string &name, std::uint32_t fallback) const
 {
-    auto it = options.find(name);
-    if (it == options.end() || it->second.empty())
-        return fallback;
-    std::optional<std::uint32_t> v = parseUint32(it->second);
-    if (!v)
-        fatal(msg("--", name, " expects an integer from 0 to ",
-                  "4294967295, got '", it->second, "'"));
-    return *v;
+    Result<std::uint32_t> v = getCheckedUint(name, fallback);
+    if (!v.ok())
+        fatal(v.status().message());
+    return v.value();
 }
 
 Result<std::uint32_t>
-ArgParser::getPositiveUint(const std::string &name,
-                           std::uint32_t fallback) const
+ArgParser::getCheckedUint(const std::string &name, std::uint32_t fallback,
+                          std::uint32_t min) const
 {
     auto it = options.find(name);
     if (it == options.end() || it->second.empty())
         return fallback;
     std::optional<std::uint32_t> v = parseUint32(it->second);
-    if (!v || *v == 0) {
-        return Status(StatusCode::InvalidArgument,
-                      msg("--", name, " expects a positive integer ",
-                          "up to 4294967295, got '", it->second, "'"));
-    }
-    return *v;
+    if (v && *v >= min)
+        return *v;
+    return Status(StatusCode::InvalidArgument,
+                  msg("--", name, " expects ",
+                      min == 0 ? "an integer from 0 to "
+                               : "a positive integer up to ",
+                      "4294967295, got '", it->second, "'"));
 }
 
 Result<double>

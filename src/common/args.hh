@@ -76,16 +76,22 @@ class ArgParser
                           std::uint32_t fallback) const;
 
     /**
-     * Checked counterpart of getUint for count-valued options
-     * (--warps, --cores, --mshrs, --jobs): the same digits-only,
-     * 32-bit range, and the value must be >= 1. Anything else returns
+     * Checked counterpart of getUint: the same digits-only, 32-bit
+     * range, and the value must be >= @p min. Anything else returns
      * StatusCode::InvalidArgument naming the flag, so front-ends can
-     * reject it before it reaches the engine.
-     * Absent/valueless options return @p fallback unchecked.
+     * reject it before it reaches the engine. Absent/valueless options
+     * return @p fallback unchecked.
      */
-    Result<std::uint32_t>
-    getPositiveUint(const std::string &name,
-                    std::uint32_t fallback) const;
+    Result<std::uint32_t> getCheckedUint(const std::string &name,
+                                         std::uint32_t fallback,
+                                         std::uint32_t min = 0) const;
+
+    /** getCheckedUint of a count (--jobs, --max-queue): at least 1. */
+    Result<std::uint32_t> getPositiveUint(const std::string &name,
+                                          std::uint32_t fallback) const
+    {
+        return getCheckedUint(name, fallback, 1);
+    }
 
     /**
      * Checked floating-point value of --name. Malformed input returns

@@ -2,7 +2,8 @@
 # value. Invoked by the cli_exit_* ctest entries (see CMakeLists.txt):
 #
 #   cmake -DGPUMECH_BIN=<path> "-DGPUMECH_ARGS=a;b;c"
-#         -DEXPECTED_CODE=N [-DSTDIN_FILE=<path>] -P cli_exit_code.cmake
+#         -DEXPECTED_CODE=N [-DSTDIN_FILE=<path>]
+#         [-DSTDERR_REGEX=<regex>] -P cli_exit_code.cmake
 #
 # The exit-code contract this pins: 0 full success, 2 partial success
 # (contained per-kernel failures), 1 total failure (bad arguments, bad
@@ -30,4 +31,11 @@ if(NOT actual_code EQUAL EXPECTED_CODE)
         "gpumech ${GPUMECH_ARGS} exited ${actual_code}, "
         "expected ${EXPECTED_CODE}\nstdout:\n${run_output}\n"
         "stderr:\n${run_errors}")
+endif()
+
+# Optional STDERR_REGEX must match the binary's stderr.
+if(DEFINED STDERR_REGEX AND NOT run_errors MATCHES "${STDERR_REGEX}")
+    message(FATAL_ERROR
+        "gpumech ${GPUMECH_ARGS} stderr does not match "
+        "'${STDERR_REGEX}':\n${run_errors}")
 endif()

@@ -131,9 +131,14 @@ main(int argc, char **argv)
         auto inflight = args.getPositiveUint("max-inflight", 8);
         auto line_cap =
             args.getPositiveUint("max-line-bytes", 1 << 20);
+        // Timeouts may be 0: off.
+        auto write_ms = args.getCheckedUint("write-timeout-ms", 5000);
+        auto idle_ms = args.getCheckedUint("idle-timeout-ms", 0);
+        auto kernel_ms = args.getCheckedUint("kernel-timeout-ms", 0);
         for (const auto *status :
              {&queue.status(), &j.status(), &disp.status(),
-              &inflight.status(), &line_cap.status()}) {
+              &inflight.status(), &line_cap.status(), &write_ms.status(),
+              &idle_ms.status(), &kernel_ms.status()}) {
             if (!status->ok()) {
                 std::fprintf(stderr, "error: %s\n",
                              status->toString().c_str());
@@ -145,12 +150,11 @@ main(int argc, char **argv)
         options.dispatchers = disp.value();
         options.maxInflight = inflight.value();
         options.maxLineBytes = line_cap.value();
+        options.writeTimeoutMs = write_ms.value();
+        options.idleTimeoutMs = idle_ms.value();
+        engine_options.kernelTimeoutMs = kernel_ms.value();
     }
     options.includeOutput = !args.has("no-output");
-    options.writeTimeoutMs = args.getUint("write-timeout-ms", 5000);
-    options.idleTimeoutMs = args.getUint("idle-timeout-ms", 0);
-    engine_options.kernelTimeoutMs =
-        args.getUint("kernel-timeout-ms", 0);
 
     if (engine_options.jobs != 0)
         setDefaultJobs(engine_options.jobs);
