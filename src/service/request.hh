@@ -274,9 +274,10 @@ struct Response
 
 /**
  * Parse a command line, tokenized with requestFlagNames(), into a
- * Request. Errors (an unknown command or option, a bad value, a
- * missing target) come back as InvalidArgument/NotFound instead of
- * fatal(), so the CLI front-end owns the process exit.
+ * Request. Errors (an unknown option, then an unknown or missing
+ * command as NotFound, a bad value, a missing target) come back as a
+ * Status instead of fatal(), so the CLI front-end owns the process
+ * exit.
  */
 Result<Request> requestFromArgs(const ArgParser &args);
 

@@ -108,20 +108,17 @@ main(int argc, char **argv)
 {
     ArgParser args(argc, argv, requestFlagNames());
 
-    const std::string cmd = argvCommand(args);
-    if (cmd.empty()) {
-        usage();
-        return 0;
-    }
-    if (!verbFromString(cmd).ok()) {
-        usage();
-        return 1;
-    }
-
     // Workload-independent argument errors (unknown options, malformed
     // counts, bad policy/level/inject specs, out-of-range
-    // configuration) surface here, before any evaluation starts.
+    // configuration) surface here, before any evaluation starts. With
+    // no unknown option, a missing or unknown command shows the usage:
+    // exit 0 for a bare `gpumech`, 1 otherwise.
     Result<Request> parsed = requestFromArgs(args);
+    if (parsed.status().code() == StatusCode::NotFound &&
+        !verbFromString(argvCommand(args)).ok()) {
+        usage();
+        return argc > 1 ? 1 : 0;
+    }
     if (!parsed.ok()) {
         std::fprintf(stderr, "error: %s\n",
                      parsed.status().toString().c_str());
