@@ -1,10 +1,10 @@
 #include "common/config.hh"
 
-#include <charconv>
 #include <cmath>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/table.hh"
 
 namespace gpumech
 {
@@ -166,10 +166,8 @@ Knob::check(double v) const
     if (std::isfinite(v) && v > 0.0 &&
         (!integral() || (v == std::floor(v) && v <= max)))
         return Status();
-    char value[32];
-    *std::to_chars(value, value + sizeof(value) - 1, v).ptr = '\0';
     return Status(StatusCode::InvalidArgument,
-                  msg("bad value ", value, " for '", name,
+                  msg("bad value ", fmtShortest(v), " for '", name,
                       "' (must be a positive ",
                       integral() ? msg("integer up to ", max) : "number",
                       ")"));

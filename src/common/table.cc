@@ -1,6 +1,7 @@
 #include "common/table.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <iomanip>
@@ -81,65 +82,16 @@ fmtPercent(double fraction, int precision)
     return buf;
 }
 
-void
-printBarChart(std::ostream &os, const std::string &title,
-              const std::vector<std::string> &labels,
-              const std::vector<double> &values, int width)
+std::string
+fmtShortest(double v)
 {
-    if (labels.size() != values.size())
-        panic("bar chart labels/values size mismatch");
-    os << title << "\n";
-    double max_v = 0.0;
-    std::size_t max_label = 0;
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-        max_v = std::max(max_v, values[i]);
-        max_label = std::max(max_label, labels[i].size());
-    }
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-        int bar = max_v > 0.0
-            ? static_cast<int>(std::lround(values[i] / max_v * width))
-            : 0;
-        os << "  " << std::left
-           << std::setw(static_cast<int>(max_label)) << labels[i] << " |"
-           << std::string(static_cast<std::size_t>(bar), '#') << " "
-           << fmtDouble(values[i], 3) << "\n";
-    }
-}
-
-void
-printGroupedBarChart(std::ostream &os, const std::string &title,
-                     const std::vector<std::string> &labels,
-                     const std::vector<std::string> &series,
-                     const std::vector<std::vector<double>> &values,
-                     int width)
-{
-    if (labels.size() != values.size())
-        panic("grouped bar chart labels/values size mismatch");
-    os << title << "\n";
-    double max_v = 0.0;
-    std::size_t max_series = 0;
-    for (const auto &group : values) {
-        if (group.size() != series.size())
-            panic("grouped bar chart series size mismatch");
-        for (double v : group)
-            max_v = std::max(max_v, v);
-    }
-    for (const auto &s : series)
-        max_series = std::max(max_series, s.size());
-
-    for (std::size_t g = 0; g < labels.size(); ++g) {
-        os << "  " << labels[g] << "\n";
-        for (std::size_t s = 0; s < series.size(); ++s) {
-            int bar = max_v > 0.0
-                ? static_cast<int>(
-                      std::lround(values[g][s] / max_v * width))
-                : 0;
-            os << "    " << std::left
-               << std::setw(static_cast<int>(max_series)) << series[s]
-               << " |" << std::string(static_cast<std::size_t>(bar), '#')
-               << " " << fmtDouble(values[g][s], 3) << "\n";
-        }
-    }
+    char buf[32];
+    std::to_chars_result r =
+        v == std::floor(v) && std::abs(v) < 1e15
+            ? std::to_chars(buf, buf + sizeof(buf), v,
+                            std::chars_format::fixed)
+            : std::to_chars(buf, buf + sizeof(buf), v);
+    return std::string(buf, r.ptr);
 }
 
 } // namespace gpumech

@@ -1,7 +1,7 @@
 /**
  * @file
- * ASCII table, CSV, and horizontal bar-chart renderers used by the
- * bench binaries to print the paper's tables and figures as text.
+ * ASCII table and CSV renderers, and the number formats the text
+ * outputs share.
  */
 
 #ifndef GPUMECH_COMMON_TABLE_HH
@@ -53,22 +53,11 @@ std::string fmtDouble(double v, int precision = 3);
 std::string fmtPercent(double fraction, int precision = 1);
 
 /**
- * Render a labeled horizontal bar chart (one row per label) where each
- * bar is scaled so the maximum value spans @p width characters.
+ * Shortest decimal form that reads back as @p v (std::to_chars), in
+ * fixed notation for whole numbers below 1e15, so 1000000 prints as
+ * 1000000 rather than 1e+06: 96.4 -> "96.4", 96 -> "96".
  */
-void printBarChart(std::ostream &os, const std::string &title,
-                   const std::vector<std::string> &labels,
-                   const std::vector<double> &values, int width = 50);
-
-/**
- * Render a grouped bar chart: one block per label, one bar per series.
- * Used for the model-comparison figures.
- */
-void printGroupedBarChart(std::ostream &os, const std::string &title,
-                          const std::vector<std::string> &labels,
-                          const std::vector<std::string> &series,
-                          const std::vector<std::vector<double>> &values,
-                          int width = 50);
+std::string fmtShortest(double v);
 
 } // namespace gpumech
 

@@ -83,6 +83,36 @@ KernelEvaluation::error(ModelKind kind) const
     return relativeError(it->second, oracleIpc);
 }
 
+GpuMechResult
+predictModel(const GpuMechProfiler &profiler, const HardwareConfig &config,
+             SchedulingPolicy policy, ModelKind kind, bool model_sfu)
+{
+    BaselinePrediction baseline;
+    switch (kind) {
+      case ModelKind::NaiveInterval:
+        baseline = naiveInterval(profiler.repProfile(),
+                                 config.warpsPerCore, config);
+        break;
+      case ModelKind::MarkovChain:
+        baseline = markovChain(profiler.repProfile(),
+                               config.warpsPerCore, config);
+        break;
+      case ModelKind::MT:
+        return profiler.evaluateAt(config, policy, ModelLevel::MT,
+                                   model_sfu);
+      case ModelKind::MT_MSHR:
+        return profiler.evaluateAt(config, policy, ModelLevel::MT_MSHR,
+                                   model_sfu);
+      case ModelKind::MT_MSHR_BAND:
+        return profiler.evaluateAt(config, policy,
+                                   ModelLevel::MT_MSHR_BAND, model_sfu);
+    }
+    GpuMechResult r;
+    r.ipc = baseline.ipc;
+    r.cpi = baseline.cpi;
+    return r;
+}
+
 namespace
 {
 
@@ -122,39 +152,15 @@ runContained(const std::string &kernel_name,
 }
 
 /** Model predictions for one kernel given its (possibly cached)
- *  profiler. Evaluation goes through evaluateAt so a profiler cached
- *  at a key-equal configuration still sees this point's MSHR/bandwidth
- *  values. */
+ *  profiler. */
 void
 predictModels(KernelEvaluation &eval, const GpuMechProfiler &profiler,
               const HardwareConfig &config, SchedulingPolicy policy,
               const std::vector<ModelKind> &models)
 {
-    const IntervalProfile &rep = profiler.repProfile();
-    for (ModelKind kind : models) {
-        double ipc = 0.0;
-        switch (kind) {
-          case ModelKind::NaiveInterval:
-            ipc = naiveInterval(rep, config.warpsPerCore, config).ipc;
-            break;
-          case ModelKind::MarkovChain:
-            ipc = markovChain(rep, config.warpsPerCore, config).ipc;
-            break;
-          case ModelKind::MT:
-            ipc = profiler.evaluateAt(config, policy,
-                                      ModelLevel::MT).ipc;
-            break;
-          case ModelKind::MT_MSHR:
-            ipc = profiler.evaluateAt(config, policy,
-                                      ModelLevel::MT_MSHR).ipc;
-            break;
-          case ModelKind::MT_MSHR_BAND:
-            ipc = profiler.evaluateAt(config, policy,
-                                      ModelLevel::MT_MSHR_BAND).ipc;
-            break;
-        }
-        eval.predictedIpc[kind] = ipc;
-    }
+    for (ModelKind kind : models)
+        eval.predictedIpc[kind] =
+            predictModel(profiler, config, policy, kind).ipc;
 }
 
 } // namespace
@@ -352,22 +358,6 @@ fractionWithin(const std::vector<KernelEvaluation> &evals,
             errors.push_back(eval.error(kind));
     }
     return fractionBelow(errors, threshold);
-}
-
-StackEvaluation
-evaluateStack(const Workload &workload, const HardwareConfig &config,
-              SchedulingPolicy policy)
-{
-    KernelTrace kernel = workload.generate(config);
-    StackEvaluation result;
-    GpuTiming oracle(kernel, config, policy);
-    result.oracle = oracle.run();
-    result.model = runGpuMech(kernel, config,
-                              GpuMechOptions{policy,
-                                             ModelLevel::MT_MSHR_BAND,
-                                             RepSelection::Clustering,
-                                             2});
-    return result;
 }
 
 } // namespace gpumech

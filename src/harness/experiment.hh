@@ -119,6 +119,20 @@ struct KernelEvaluation
 };
 
 /**
+ * One Table II model's prediction from a profiler, which may come from
+ * an InputCache keyed at another configuration: the GPUMech levels
+ * evaluate through GpuMechProfiler::evaluateAt(config, ...), and the
+ * two baselines, which fill only ipc and cpi, read the representative
+ * warp's profile at @p config's warp count.
+ *
+ * @param model_sfu add the SFU contention term (GPUMech levels only)
+ */
+GpuMechResult predictModel(const GpuMechProfiler &profiler,
+                           const HardwareConfig &config,
+                           SchedulingPolicy policy, ModelKind kind,
+                           bool model_sfu = false);
+
+/**
  * Evaluate one kernel: run the oracle and every requested model.
  *
  * @param workload kernel generator
@@ -223,21 +237,6 @@ double averageError(const std::vector<KernelEvaluation> &evals,
 /** Fraction of successful kernels with error below a threshold. */
 double fractionWithin(const std::vector<KernelEvaluation> &evals,
                       ModelKind kind, double threshold);
-
-/**
- * Full GPUMech result (CPI stack etc.) plus the oracle CPI for one
- * kernel at one configuration — what the Figure 16 bench needs.
- */
-struct StackEvaluation
-{
-    GpuMechResult model;
-    TimingStats oracle;
-};
-
-/** Run full GPUMech and the oracle on one kernel. */
-StackEvaluation evaluateStack(const Workload &workload,
-                              const HardwareConfig &config,
-                              SchedulingPolicy policy);
 
 } // namespace gpumech
 

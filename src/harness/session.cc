@@ -1,7 +1,5 @@
 #include "harness/session.hh"
 
-#include "harness/sweep.hh"
-
 namespace gpumech
 {
 
@@ -14,25 +12,6 @@ evaluateSuite(EvalSession &session,
     return evaluateSuite(workloads, config, policy, models, verbose,
                          session.jobs, &session.cache,
                          session.isolation);
-}
-
-std::vector<KernelPrediction>
-predictSuite(EvalSession &session,
-             const std::vector<Workload> &workloads,
-             const HardwareConfig &config,
-             const GpuMechOptions &options)
-{
-    return predictSuite(workloads, config, options, session.jobs,
-                        &session.cache, session.isolation);
-}
-
-SweepResult
-runSweep(EvalSession &session, const std::vector<Workload> &workloads,
-         const std::vector<SweepPoint> &points, SchedulingPolicy policy,
-         bool verbose, const SweepOptions &options)
-{
-    return runSweep(workloads, points, policy, verbose, session.jobs,
-                    &session.cache, session.isolation, options);
 }
 
 } // namespace gpumech

@@ -3,18 +3,17 @@
  * Long-lived evaluation session state for the harness.
  *
  * The harness entry points (evaluateSuite / predictSuite / runSweep)
- * historically took their cross-cutting state — input cache, thread
- * count, isolation knobs — as trailing parameters, and every front-end
- * re-plumbed them per call. EvalSession bundles that state into one
- * object with the lifetime a serving process wants: construct once,
- * keep the InputCache warm across requests, and pass per-request
- * overrides alongside.
+ * take their cross-cutting state — input cache, thread count,
+ * isolation knobs — as trailing parameters. EvalSession bundles that
+ * state into one object with the lifetime a serving process wants:
+ * construct once, keep the InputCache warm across requests, and pass
+ * per-request overrides alongside.
  *
  * EvalSession is the harness-level half of the engine/front-end split;
  * the service layer's EngineSession (src/service/) owns one and adds
- * the request/response model on top. Library users who only run one
- * batch can keep calling the parameter-style overloads — they are thin
- * wrappers over the same implementations.
+ * the request/response model on top. evaluateSuite also takes a
+ * session directly; it is a thin wrapper over the parameter-style
+ * overload.
  */
 
 #ifndef GPUMECH_HARNESS_SESSION_HH
@@ -81,13 +80,6 @@ evaluateSuite(EvalSession &session,
               const HardwareConfig &config, SchedulingPolicy policy,
               const std::vector<ModelKind> &models = allModels(),
               bool verbose = false);
-
-/** Session-based model-only prediction (see predictSuite). */
-std::vector<KernelPrediction>
-predictSuite(EvalSession &session,
-             const std::vector<Workload> &workloads,
-             const HardwareConfig &config,
-             const GpuMechOptions &options = {});
 
 } // namespace gpumech
 

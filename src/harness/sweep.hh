@@ -1,8 +1,9 @@
 /**
  * @file
- * Configuration-sweep helper for the Figure 13/14/15 benches: runs
- * the full model-vs-oracle comparison at each configuration point and
- * aggregates the average error per model.
+ * Configuration-sweep helper: runs the full model-vs-oracle
+ * comparison at each configuration point and aggregates the average
+ * error per model. printSweep also renders bench/accuracy's
+ * Figure 13/14/15 tables.
  */
 
 #ifndef GPUMECH_HARNESS_SWEEP_HH
@@ -107,18 +108,6 @@ SweepResult runSweep(const std::vector<Workload> &workloads,
                      SchedulingPolicy policy, bool verbose = false,
                      unsigned jobs = 0, InputCache *cache = nullptr,
                      const IsolationOptions &isolation = {},
-                     const SweepOptions &options = {});
-
-struct EvalSession;
-
-/**
- * Session-based sweep: runSweep with the session's cache, jobs, and
- * isolation defaults (see harness/session.hh).
- */
-SweepResult runSweep(EvalSession &session,
-                     const std::vector<Workload> &workloads,
-                     const std::vector<SweepPoint> &points,
-                     SchedulingPolicy policy, bool verbose = false,
                      const SweepOptions &options = {});
 
 /** Render a sweep as a table (rows = models, columns = points). */

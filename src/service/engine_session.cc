@@ -270,7 +270,7 @@ handleSweep(EvalSession &session, const Request &req, std::ostream &os)
         GpuMechResult r = pk.profiler->evaluateAt(
             config, req.policy, ModelLevel::MT_MSHR_BAND, req.modelSfu);
 
-        std::vector<std::string> row{fmtDouble(v, 0),
+        std::vector<std::string> row{fmtShortest(v),
                                      fmtDouble(r.cpi, 3),
                                      fmtDouble(r.ipc, 4)};
         if (req.oracle) {

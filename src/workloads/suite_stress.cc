@@ -8,8 +8,8 @@
  * number on that trade-off: each alternates between a compute-only
  * phase and a memory-heavy phase, so per-phase contention differs
  * wildly from the kernel-wide average. They are not part of the
- * 40-kernel evaluation suite; the ablation bench
- * `ablation_phase_sensitivity` and the tests use them.
+ * 40-kernel evaluation suite; the `phase_sensitivity` section of
+ * bench/accuracy and the tests use them.
  */
 
 #include "workloads/archetypes.hh"

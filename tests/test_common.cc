@@ -145,34 +145,11 @@ TEST(Table, FormatHelpers)
 {
     EXPECT_EQ(fmtDouble(1.2345, 2), "1.23");
     EXPECT_EQ(fmtPercent(0.132, 1), "13.2%");
-}
-
-TEST(Table, BarChartScalesToMax)
-{
-    std::ostringstream os;
-    printBarChart(os, "title", {"a", "b"}, {1.0, 2.0}, 10);
-    std::string out = os.str();
-    EXPECT_NE(out.find("title"), std::string::npos);
-    // b gets the full width, a half of it.
-    EXPECT_NE(out.find("##########"), std::string::npos);
-    EXPECT_NE(out.find("##### 1.000"), std::string::npos);
-}
-
-TEST(Table, BarChartHandlesAllZeroValues)
-{
-    std::ostringstream os;
-    printBarChart(os, "zeros", {"a"}, {0.0}, 10);
-    EXPECT_NE(os.str().find("0.000"), std::string::npos);
-}
-
-TEST(Table, GroupedBarChartRendersAllSeries)
-{
-    std::ostringstream os;
-    printGroupedBarChart(os, "grouped", {"g1", "g2"}, {"s1", "s2"},
-                         {{1.0, 2.0}, {3.0, 4.0}}, 8);
-    std::string out = os.str();
-    for (const char *needle : {"g1", "g2", "s1", "s2"})
-        EXPECT_NE(out.find(needle), std::string::npos);
+    EXPECT_EQ(fmtShortest(96.4), "96.4");
+    EXPECT_EQ(fmtShortest(96.0), "96");
+    EXPECT_EQ(fmtShortest(1e6), "1000000");
+    EXPECT_EQ(fmtShortest(0.1 + 0.2), "0.30000000000000004");
+    EXPECT_EQ(fmtShortest(1e300), "1e+300");
 }
 
 TEST(Logging, MsgConcatenatesPieces)

@@ -107,16 +107,6 @@ TEST(Harness, GpuMechBeatsNaiveOnDivergentKernel)
               eval.error(ModelKind::MarkovChain));
 }
 
-TEST(Harness, StackEvaluationConsistent)
-{
-    HardwareConfig config = smallConfig();
-    StackEvaluation eval =
-        evaluateStack(workloadByName("micro_divergent8"), config,
-                      SchedulingPolicy::RoundRobin);
-    EXPECT_NEAR(eval.model.stack.total(), eval.model.cpi, 1e-6);
-    EXPECT_GT(eval.oracle.totalCycles, 0u);
-}
-
 TEST(Harness, SweepShapesAndLabels)
 {
     std::vector<Workload> kernels = {workloadByName("micro_stream")};

@@ -12,9 +12,10 @@
 # rounding. The next six cases came later: they pin the tune, compare,
 # sweep-mode and machine-override options the first seven never pass,
 # so a change to argument parsing that moves their output shows here.
-# The last four pin the machine knobs no earlier case sweeps or tunes:
+# The next four pin the machine knobs no earlier case sweeps or tunes:
 # a warps sweep (re-profiled per point), l2-kb and sfu-lanes sweeps,
-# and a tune that moves cores, warps and l2-kb together.
+# and a tune that moves cores, warps and l2-kb together. The last
+# pins a fractional bandwidth's row labels, which print unrounded.
 #
 # Every case runs at --jobs 1 and at --jobs 4 against the same golden,
 # so a result that depends on the thread count fails here too.
@@ -45,7 +46,8 @@ set(cases
     "sweep_micro_warps|sweep micro_stream --warps 4 --cores 2 --param warps --values 2,4,8"
     "sweep_spmv_l2|sweep spmv_jds --warps 4 --cores 2 --param l2-kb --values 64,192,768"
     "sweep_sfu_lanes|sweep micro_sfu_heavy --warps 16 --cores 2 --param sfu-lanes --values 2,8,32 --model-sfu"
-    "tune_spmv_trace_dims|tune spmv_jds --warps 4 --cores 2 --dims cores,warps,l2-kb --cores-values 1,2 --warps-values 2,4,8 --l2-kb-values 64,768")
+    "tune_spmv_trace_dims|tune spmv_jds --warps 4 --cores 2 --dims cores,warps,l2-kb --cores-values 1,2 --warps-values 2,4,8 --l2-kb-values 64,768"
+    "sweep_micro_bw_fraction|sweep micro_stream --warps 4 --cores 2 --param bw --values 96.4,96.6")
 
 foreach(case ${cases})
     string(FIND "${case}" "|" sep)
