@@ -53,6 +53,7 @@ int
 main(int argc, char **argv)
 {
     ArgParser args(argc, argv);
+    args.checkOptionNames({"out"}).orDie();
     std::string out_path =
         args.get("out", "BENCH_replacement_policy.json");
 

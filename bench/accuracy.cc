@@ -789,12 +789,10 @@ main(int argc, char **argv)
 {
     const char *usage = "usage: accuracy [--jobs N] [--out FILE]\n";
     ArgParser args(argc, argv);
-    for (const std::string &name : args.optionNames()) {
-        if (name != "jobs" && name != "out") {
-            std::cerr << "accuracy: unknown option --" << name << "\n"
-                      << usage;
-            return 1;
-        }
+    if (Status known = args.checkOptionNames({"jobs", "out"});
+        !known.ok()) {
+        std::cerr << "accuracy: " << known.message() << "\n" << usage;
+        return 1;
     }
     if (args.numPositional() != 0) {
         std::cerr << usage;

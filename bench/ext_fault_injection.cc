@@ -84,6 +84,7 @@ int
 main(int argc, char **argv)
 {
     ArgParser args(argc, argv);
+    args.checkOptionNames({"out", "reps", "seed"}).orDie();
     unsigned reps = args.getUint("reps", 5);
     std::uint64_t seed = args.getUint("seed", 7);
     std::string out_path = args.get("out", "BENCH_fault_injection.json");

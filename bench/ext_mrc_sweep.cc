@@ -153,6 +153,7 @@ int
 main(int argc, char **argv)
 {
     ArgParser args(argc, argv);
+    args.checkOptionNames({"out", "reps"}).orDie();
     unsigned reps = args.getUint("reps", 3);
     std::string out_path = args.get("out", "BENCH_mrc.json");
 

@@ -271,6 +271,7 @@ int
 main(int argc, char **argv)
 {
     ArgParser args(argc, argv);
+    args.checkOptionNames({"out", "per-client", "single"}).orDie();
     unsigned single_n = args.getUint("single", 150);
     unsigned per_client = args.getUint("per-client", 40);
     std::string out_path =

@@ -94,6 +94,7 @@ int
 main(int argc, char **argv)
 {
     ArgParser args(argc, argv);
+    args.checkOptionNames({"dir", "out", "reps"}).orDie();
     unsigned reps = args.getUint("reps", 3);
     std::string out_path = args.get("out", "BENCH_trace_format.json");
     std::string dir = args.get("dir", "");

@@ -99,6 +99,7 @@ int
 main(int argc, char **argv)
 {
     ArgParser args(argc, argv);
+    args.checkOptionNames({"out"}).orDie();
     std::string out_path = args.get("out", "BENCH_tune.json");
 
     HardwareConfig base = HardwareConfig::baseline();

@@ -99,6 +99,20 @@ ArgParser::optionNames() const
     return names;
 }
 
+Status
+ArgParser::checkOptionNames(
+    std::initializer_list<std::string_view> allowed) const
+{
+    for (const auto &[name, value] : options) {
+        if (std::find(allowed.begin(), allowed.end(), name) ==
+            allowed.end()) {
+            return Status(StatusCode::InvalidArgument,
+                          msg("unknown option --", name));
+        }
+    }
+    return Status();
+}
+
 bool
 ArgParser::has(const std::string &name) const
 {

@@ -12,9 +12,11 @@
 #define GPUMECH_COMMON_ARGS_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.hh"
@@ -59,6 +61,14 @@ class ArgParser
 
     /** Names of every --name given, in sorted order. */
     std::vector<std::string> optionNames() const;
+
+    /**
+     * Ok when every --name given is in @p allowed; else
+     * StatusCode::InvalidArgument "unknown option --NAME" for the
+     * first other name in sorted order.
+     */
+    Status checkOptionNames(
+        std::initializer_list<std::string_view> allowed) const;
 
     /** True when --name was given (with or without a value). */
     bool has(const std::string &name) const;

@@ -60,46 +60,6 @@ JsonValue::find(const std::string &key) const
     return nullptr;
 }
 
-Result<std::string>
-JsonValue::getString(const std::string &key,
-                     const std::string &fallback) const
-{
-    const JsonValue *v = find(key);
-    if (v == nullptr || v->isNull())
-        return fallback;
-    if (!v->isString()) {
-        return Status(StatusCode::InvalidArgument,
-                      msg("field '", key, "' must be a string"));
-    }
-    return v->string();
-}
-
-Result<double>
-JsonValue::getNumber(const std::string &key, double fallback) const
-{
-    const JsonValue *v = find(key);
-    if (v == nullptr || v->isNull())
-        return fallback;
-    if (!v->isNumber()) {
-        return Status(StatusCode::InvalidArgument,
-                      msg("field '", key, "' must be a number"));
-    }
-    return v->number();
-}
-
-Result<bool>
-JsonValue::getBool(const std::string &key, bool fallback) const
-{
-    const JsonValue *v = find(key);
-    if (v == nullptr || v->isNull())
-        return fallback;
-    if (!v->isBool()) {
-        return Status(StatusCode::InvalidArgument,
-                      msg("field '", key, "' must be a boolean"));
-    }
-    return v->boolean();
-}
-
 JsonValue
 JsonValue::makeNull()
 {

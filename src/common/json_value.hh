@@ -76,20 +76,6 @@ class JsonValue
      */
     const JsonValue *find(const std::string &key) const;
 
-    // --- typed convenience lookups for flat request objects ---
-
-    /** String member, or @p fallback when absent/null. Non-string
-     *  members return an InvalidArgument Status. */
-    Result<std::string> getString(const std::string &key,
-                                  const std::string &fallback = "") const;
-
-    /** Numeric member as double, or @p fallback when absent/null. */
-    Result<double> getNumber(const std::string &key,
-                             double fallback) const;
-
-    /** Boolean member, or @p fallback when absent/null. */
-    Result<bool> getBool(const std::string &key, bool fallback) const;
-
     // --- construction (parser + tests) ---
     static JsonValue makeNull();
     static JsonValue makeBool(bool b);

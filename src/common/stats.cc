@@ -19,29 +19,6 @@ mean(const std::vector<double> &xs)
 }
 
 double
-geomean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double log_total = 0.0;
-    for (double x : xs)
-        log_total += std::log(x);
-    return std::exp(log_total / static_cast<double>(xs.size()));
-}
-
-double
-stddev(const std::vector<double> &xs)
-{
-    if (xs.size() < 2)
-        return 0.0;
-    double m = mean(xs);
-    double acc = 0.0;
-    for (double x : xs)
-        acc += (x - m) * (x - m);
-    return std::sqrt(acc / static_cast<double>(xs.size()));
-}
-
-double
 median(std::vector<double> xs)
 {
     return percentile(std::move(xs), 50.0);
@@ -73,16 +50,6 @@ relativeError(double predicted, double reference)
 }
 
 double
-signedRelativeError(double predicted, double reference)
-{
-    if (reference == 0.0) {
-        return predicted == 0.0 ? 0.0
-                                : std::numeric_limits<double>::infinity();
-    }
-    return (predicted - reference) / std::abs(reference);
-}
-
-double
 fractionBelow(const std::vector<double> &xs, double threshold)
 {
     if (xs.empty())
@@ -93,19 +60,6 @@ fractionBelow(const std::vector<double> &xs, double threshold)
             ++n;
     }
     return static_cast<double>(n) / static_cast<double>(xs.size());
-}
-
-void
-Summary::add(double x)
-{
-    if (n == 0) {
-        lo = hi = x;
-    } else {
-        lo = std::min(lo, x);
-        hi = std::max(hi, x);
-    }
-    total += x;
-    ++n;
 }
 
 } // namespace gpumech

@@ -1,14 +1,12 @@
 /**
  * @file
  * Small statistics helpers shared by the models, the harness and the
- * benches: means, percentiles, relative error, and an online summary
- * accumulator.
+ * benches: means, percentiles and relative error.
  */
 
 #ifndef GPUMECH_COMMON_STATS_HH
 #define GPUMECH_COMMON_STATS_HH
 
-#include <cstddef>
 #include <vector>
 
 namespace gpumech
@@ -16,12 +14,6 @@ namespace gpumech
 
 /** Arithmetic mean; 0 for an empty input. */
 double mean(const std::vector<double> &xs);
-
-/** Geometric mean; 0 for an empty input. Values must be positive. */
-double geomean(const std::vector<double> &xs);
-
-/** Population standard deviation; 0 for fewer than 2 samples. */
-double stddev(const std::vector<double> &xs);
 
 /** Median (by sorting a copy); 0 for an empty input. */
 double median(std::vector<double> xs);
@@ -40,34 +32,8 @@ double percentile(std::vector<double> xs, double p);
  */
 double relativeError(double predicted, double reference);
 
-/**
- * Signed relative error (predicted - reference) / reference; negative
- * means the model underestimates.
- */
-double signedRelativeError(double predicted, double reference);
-
 /** Fraction of values strictly below a threshold; 0 for empty input. */
 double fractionBelow(const std::vector<double> &xs, double threshold);
-
-/** Online accumulator for count / mean / min / max. */
-class Summary
-{
-  public:
-    /** Add one sample. */
-    void add(double x);
-
-    std::size_t count() const { return n; }
-    double mean() const { return n ? total / n : 0.0; }
-    double min() const { return n ? lo : 0.0; }
-    double max() const { return n ? hi : 0.0; }
-    double sum() const { return total; }
-
-  private:
-    std::size_t n = 0;
-    double total = 0.0;
-    double lo = 0.0;
-    double hi = 0.0;
-};
 
 } // namespace gpumech
 

@@ -135,8 +135,8 @@ class Result
  * Exception carrier for a Status crossing layers whose signatures
  * stay exception-based (cooperative cancellation checkpoints, thread
  * pool task bodies, cache compute functions). Containment boundaries
- * (evaluateSuite / predictSuite / runSweep) catch it and record the
- * carried Status on the failed kernel.
+ * (evaluateSuite / predictSuite) catch it and record the carried
+ * Status on the failed kernel.
  */
 class StatusException : public std::exception
 {

@@ -54,18 +54,6 @@ Table::print(std::ostream &os) const
         emit_row(row);
 }
 
-void
-Table::printCsv(std::ostream &os) const
-{
-    auto emit_row = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c)
-            os << row[c] << (c + 1 == row.size() ? "\n" : ",");
-    };
-    emit_row(head);
-    for (const auto &row : body)
-        emit_row(row);
-}
-
 std::string
 fmtDouble(double v, int precision)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
- * ASCII table and CSV renderers, and the number formats the text
- * outputs share.
+ * ASCII table renderer and the number formats the text outputs
+ * share.
  */
 
 #ifndef GPUMECH_COMMON_TABLE_HH
@@ -35,9 +35,6 @@ class Table
 
     /** Render with padded columns and a header rule. */
     void print(std::ostream &os) const;
-
-    /** Render as CSV (no padding, comma-separated). */
-    void printCsv(std::ostream &os) const;
 
     std::size_t rows() const { return body.size(); }
 

@@ -169,19 +169,11 @@ KernelEvaluation
 evaluateKernel(const Workload &workload, const HardwareConfig &config,
                SchedulingPolicy policy,
                const std::vector<ModelKind> &models, InputCache *cache,
-               const IsolationOptions &isolation, SweepMode mode,
-               double mrc_rate)
+               const IsolationOptions &isolation)
 {
     KernelEvaluation eval;
     eval.kernel = workload.name;
     eval.policy = policy;
-
-    // The MRC fast path needs a cache to share the reuse-distance
-    // profile across cells; without one, fall back to a call-local
-    // cache (correct, just no cross-call reuse).
-    InputCache local;
-    if (mode == SweepMode::Mrc && !cache)
-        cache = &local;
 
     eval.status = runContained(workload.name, isolation, [&] {
         if (cache) {
@@ -195,14 +187,7 @@ evaluateKernel(const Workload &workload, const HardwareConfig &config,
             }
             eval.oracleIpc =
                 eval.oracleCpi > 0.0 ? 1.0 / eval.oracleCpi : 0.0;
-            ProfiledKernel pk = mode == SweepMode::Mrc
-                ? cache->mrcProfiler(workload, config, mrc_rate)
-                : cache->profiler(workload, config);
-            if (mode == SweepMode::Mrc) {
-                const CollectorResult &inputs = pk.profiler->inputs();
-                eval.mrcApproximate = inputs.mrcApproximate;
-                eval.mrcApproximation = inputs.mrcApproximation;
-            }
+            ProfiledKernel pk = cache->profiler(workload, config);
             predictModels(eval, *pk.profiler, config, policy, models);
             return;
         }
@@ -345,19 +330,6 @@ averageError(const std::vector<KernelEvaluation> &evals, ModelKind kind)
             errors.push_back(eval.error(kind));
     }
     return mean(errors);
-}
-
-double
-fractionWithin(const std::vector<KernelEvaluation> &evals,
-               ModelKind kind, double threshold)
-{
-    std::vector<double> errors;
-    errors.reserve(evals.size());
-    for (const auto &eval : evals) {
-        if (eval.ok())
-            errors.push_back(eval.error(kind));
-    }
-    return fractionBelow(errors, threshold);
 }
 
 } // namespace gpumech

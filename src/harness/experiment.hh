@@ -1,9 +1,8 @@
 /**
  * @file
  * Experiment harness: evaluates the five models of Table II against
- * the detailed timing simulator over kernel sets and configuration
- * sweeps, and aggregates the relative errors the paper's figures
- * report.
+ * the detailed timing simulator over kernel sets, and aggregates the
+ * relative errors the paper's figures report.
  *
  * Error metric: relative error of predicted performance,
  * |IPC_model - IPC_oracle| / IPC_oracle. (The paper reports errors
@@ -100,15 +99,6 @@ struct KernelEvaluation
     /** Predicted IPC per model. */
     std::map<ModelKind, double> predictedIpc;
 
-    /**
-     * SweepMode::Mrc only: the model inputs were derived from the
-     * reuse-distance profile approximately (sampling, set-associative
-     * conversion, non-LRU policy), with the comma-joined reasons.
-     * Rerun-mode evaluations always leave this false.
-     */
-    bool mrcApproximate = false;
-    std::string mrcApproximation;
-
     bool ok() const { return status.ok(); }
 
     /**
@@ -148,12 +138,6 @@ GpuMechResult predictModel(const GpuMechProfiler &profiler,
  *        injected fault, or an unexpected std::exception — is
  *        contained: it is returned in KernelEvaluation::status and
  *        never escapes to the caller.
- * @param mode collector-input source for the model side (the oracle
- *        always runs the timing simulator): SweepMode::Mrc derives
- *        cache behaviour from a shared reuse-distance profile instead
- *        of re-running the functional simulation
- * @param mrc_rate SHARDS sampling rate in (0, 1] for SweepMode::Mrc;
- *        1.0 profiles every line
  */
 KernelEvaluation evaluateKernel(const Workload &workload,
                                 const HardwareConfig &config,
@@ -161,9 +145,7 @@ KernelEvaluation evaluateKernel(const Workload &workload,
                                 const std::vector<ModelKind> &models =
                                     allModels(),
                                 InputCache *cache = nullptr,
-                                const IsolationOptions &isolation = {},
-                                SweepMode mode = SweepMode::Rerun,
-                                double mrc_rate = 1.0);
+                                const IsolationOptions &isolation = {});
 
 /**
  * Evaluate a set of kernels; optionally logs per-kernel progress via
@@ -233,10 +215,6 @@ std::string failureSummary(const std::vector<KernelPrediction> &preds);
  */
 double averageError(const std::vector<KernelEvaluation> &evals,
                     ModelKind kind);
-
-/** Fraction of successful kernels with error below a threshold. */
-double fractionWithin(const std::vector<KernelEvaluation> &evals,
-                      ModelKind kind, double threshold);
 
 } // namespace gpumech
 

@@ -2,7 +2,7 @@
  * @file
  * Long-lived evaluation session state for the harness.
  *
- * The harness entry points (evaluateSuite / predictSuite / runSweep)
+ * The harness entry points (evaluateSuite / predictSuite)
  * take their cross-cutting state — input cache, thread count,
  * isolation knobs — as trailing parameters. EvalSession bundles that
  * state into one object with the lifetime a serving process wants:
@@ -39,7 +39,7 @@ struct EvalSession
     InputCache cache;
 
     /**
-     * Default worker-thread count for suite/sweep fan-out;
+     * Default worker-thread count for suite and tune fan-out;
      * 0 = defaultJobs(). A request's explicit jobs value wins.
      */
     unsigned jobs = 0;

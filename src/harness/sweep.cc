@@ -1,113 +1,24 @@
 #include "harness/sweep.hh"
 
-#include <ostream>
-
-#include "common/logging.hh"
-#include "common/metrics.hh"
 #include "common/table.hh"
-#include "common/thread_pool.hh"
 
 namespace gpumech
 {
 
-SweepResult
-runSweep(const std::vector<Workload> &workloads,
-         const std::vector<SweepPoint> &points, SchedulingPolicy policy,
-         bool verbose, unsigned jobs, InputCache *cache,
-         const IsolationOptions &isolation, const SweepOptions &options)
-{
-    InputCache local;
-    if (!cache)
-        cache = &local;
-
-    // Flatten the (point x workload) grid so the pool balances across
-    // both axes; aggregation below restores per-point order.
-    std::size_t num_tasks = points.size() * workloads.size();
-    static const Counter sweep_cells("sweep.cells");
-    sweep_cells.add(num_tasks);
-    if (verbose)
-        inform(msg("sweep: ", points.size(), " points x ",
-                   workloads.size(), " kernels"));
-    std::vector<KernelEvaluation> evals =
-        parallelMap<KernelEvaluation>(
-            num_tasks,
-            [&](std::size_t t) {
-                const SweepPoint &point = points[t / workloads.size()];
-                const Workload &workload =
-                    workloads[t % workloads.size()];
-                if (verbose)
-                    inform(msg("evaluating ", workload.name, " @ ",
-                               point.label));
-                return evaluateKernel(workload, point.config, policy,
-                                      allModels(), cache, isolation,
-                                      options.mode, options.mrcRate);
-            },
-            1, jobs);
-
-    SweepResult result;
-    for (std::size_t p = 0; p < points.size(); ++p) {
-        result.labels.push_back(points[p].label);
-        std::vector<KernelEvaluation> point_evals(
-            evals.begin() + p * workloads.size(),
-            evals.begin() + (p + 1) * workloads.size());
-        bool approx = false;
-        for (const KernelEvaluation &eval : point_evals) {
-            if (!eval.ok()) {
-                result.failures.push_back(SweepFailure{
-                    points[p].label, eval.kernel, eval.status});
-            }
-            approx = approx || (eval.ok() && eval.mrcApproximate);
-        }
-        result.mrcApproximate.push_back(approx);
-        for (ModelKind kind : allModels()) {
-            result.averages[kind].push_back(
-                averageError(point_evals, kind));
-        }
-    }
-    return result;
-}
-
-namespace
-{
-
-Table
-sweepTable(const SweepResult &result, bool raw)
+void
+printSweep(std::ostream &os, const SweepResult &result)
 {
     std::vector<std::string> header{"model"};
-    for (const auto &label : result.labels)
-        header.push_back(label);
+    header.insert(header.end(), result.labels.begin(),
+                  result.labels.end());
     Table t(header);
     for (ModelKind kind : allModels()) {
         std::vector<std::string> row{toString(kind)};
         for (double err : result.averages.at(kind))
-            row.push_back(raw ? fmtDouble(err, 6) : fmtPercent(err));
+            row.push_back(fmtPercent(err));
         t.addRow(std::move(row));
     }
-    return t;
-}
-
-} // namespace
-
-void
-printSweep(std::ostream &os, const SweepResult &result)
-{
-    sweepTable(result, false).print(os);
-}
-
-void
-printSweepCsv(std::ostream &os, const SweepResult &result)
-{
-    Table t = sweepTable(result, true);
-    // Machine consumers need the approximation signal in-band. Only
-    // sweeps that actually carried an approximation grow the row:
-    // rerun-mode output stays byte-identical to the historical CSV.
-    if (result.anyMrcApproximate()) {
-        std::vector<std::string> row{"mrc_approx"};
-        for (bool b : result.mrcApproximate)
-            row.push_back(b ? "1" : "0");
-        t.addRow(std::move(row));
-    }
-    t.printCsv(os);
+    t.print(os);
 }
 
 } // namespace gpumech

@@ -50,18 +50,6 @@ fail(Status status)
     return resp;
 }
 
-/** Workload lookup with the old CLI's message, as a Status. */
-Result<const Workload *>
-lookupWorkload(const std::string &name)
-{
-    const Workload *w = findWorkload(name);
-    if (w == nullptr) {
-        return Status(StatusCode::NotFound,
-                      msg("unknown workload: ", name));
-    }
-    return w;
-}
-
 /** Effective per-request isolation (request deadline/plan wins). */
 IsolationOptions
 isolationFor(const EvalSession &session, const Request &req)
@@ -103,20 +91,14 @@ handleList(std::ostream &os)
 }
 
 Response
-handleModel(EvalSession &session, const Request &req, std::ostream &os)
+handleModel(EvalSession &session, const Workload &w, const Request &req,
+            std::ostream &os)
 {
-    const Workload *w = nullptr;
-    {
-        Result<const Workload *> found = lookupWorkload(req.kernel);
-        if (!found.ok())
-            return fail(found.status());
-        w = found.value();
-    }
     // Warm path: trace + collector + profiler come from the
     // session cache; only the (cheap) analytical evaluation runs per
     // request. evaluateAt keeps the result bit-identical to the old
     // CLI's runGpuMech (pinned by test_parallel and cli_golden).
-    ProfiledKernel pk = session.cache.profiler(*w, req.config);
+    ProfiledKernel pk = session.cache.profiler(w, req.config);
     GpuMechResult r = pk.profiler->evaluateAt(req.config, req.policy,
                                               req.level, req.modelSfu);
     const KernelTrace &kernel = *pk.trace;
@@ -150,18 +132,11 @@ handleModel(EvalSession &session, const Request &req, std::ostream &os)
 }
 
 Response
-handleSimulate(EvalSession &session, const Request &req,
-               std::ostream &os)
+handleSimulate(EvalSession &session, const Workload &w,
+               const Request &req, std::ostream &os)
 {
-    const Workload *w = nullptr;
-    {
-        Result<const Workload *> found = lookupWorkload(req.kernel);
-        if (!found.ok())
-            return fail(found.status());
-        w = found.value();
-    }
     std::shared_ptr<const KernelTrace> kernel =
-        session.cache.trace(*w, req.config);
+        session.cache.trace(w, req.config);
 
     GpuTiming sim(*kernel, req.config, req.policy);
     TimingStats s = sim.run();
@@ -220,15 +195,9 @@ handleSimulate(EvalSession &session, const Request &req,
 }
 
 Response
-handleSweep(EvalSession &session, const Request &req, std::ostream &os)
+handleSweep(EvalSession &session, const Workload &w, const Request &req,
+            std::ostream &os)
 {
-    const Workload *w = nullptr;
-    {
-        Result<const Workload *> found = lookupWorkload(req.kernel);
-        if (!found.ok())
-            return fail(found.status());
-        w = found.value();
-    }
     const Knob *knob = findKnob(req.sweepParam);
     if (knob == nullptr || !knob->accepts(Knob::Sweep)) {
         return fail(Status(StatusCode::Internal,
@@ -246,8 +215,8 @@ handleSweep(EvalSession &session, const Request &req, std::ostream &os)
     // cache-geometry axes derive each cell instead of re-running the
     // functional simulation.
     ProfiledKernel base_pk =
-        mrc ? session.cache.mrcProfiler(*w, base, req.mrcRate)
-            : session.cache.profiler(*w, base);
+        mrc ? session.cache.mrcProfiler(w, base, req.mrcRate)
+            : session.cache.profiler(w, base);
 
     std::vector<std::string> header{req.sweepParam, "model CPI",
                                     "model IPC"};
@@ -263,9 +232,9 @@ handleSweep(EvalSession &session, const Request &req, std::ostream &os)
 
         ProfiledKernel pk =
             knob->reshapesTrace
-                ? (mrc ? session.cache.mrcProfiler(*w, config,
+                ? (mrc ? session.cache.mrcProfiler(w, config,
                                                    req.mrcRate)
-                       : session.cache.profiler(*w, config))
+                       : session.cache.profiler(w, config))
                 : base_pk;
         GpuMechResult r = pk.profiler->evaluateAt(
             config, req.policy, ModelLevel::MT_MSHR_BAND, req.modelSfu);
@@ -306,15 +275,9 @@ handleSweep(EvalSession &session, const Request &req, std::ostream &os)
 }
 
 Response
-handleTune(EvalSession &session, const Request &req, std::ostream &os)
+handleTune(EvalSession &session, const Workload &w, const Request &req,
+           std::ostream &os)
 {
-    const Workload *w = nullptr;
-    {
-        Result<const Workload *> found = lookupWorkload(req.kernel);
-        if (!found.ok())
-            return fail(found.status());
-        w = found.value();
-    }
     // The search specification rides in req.tune; scheduling and
     // threading come from the request-level fields like every other
     // handler.
@@ -323,7 +286,7 @@ handleTune(EvalSession &session, const Request &req, std::ostream &os)
     options.modelSfu = req.modelSfu;
     options.jobs = session.jobsFor(req.jobs);
 
-    Result<TuneResult> run = runTune(session, *w, req.config, options);
+    Result<TuneResult> run = runTune(session, w, req.config, options);
     if (!run.ok())
         return fail(run.status());
     const TuneResult &result = run.value();
@@ -336,18 +299,11 @@ handleTune(EvalSession &session, const Request &req, std::ostream &os)
 }
 
 Response
-handleCompare(EvalSession &session, const Request &req,
-              std::ostream &os)
+handleCompare(EvalSession &session, const Workload &w,
+              const Request &req, std::ostream &os)
 {
-    const Workload *w = nullptr;
-    {
-        Result<const Workload *> found = lookupWorkload(req.kernel);
-        if (!found.ok())
-            return fail(found.status());
-        w = found.value();
-    }
     KernelEvaluation eval =
-        evaluateKernel(*w, req.config, req.policy, allModels(),
+        evaluateKernel(w, req.config, req.policy, allModels(),
                        &session.cache, isolationFor(session, req));
     if (!eval.ok())
         return fail(eval.status);
@@ -367,21 +323,15 @@ handleCompare(EvalSession &session, const Request &req,
 }
 
 Response
-handleStack(EvalSession &session, const Request &req, std::ostream &os)
+handleStack(EvalSession &session, const Workload &w, const Request &req,
+            std::ostream &os)
 {
-    const Workload *w = nullptr;
-    {
-        Result<const Workload *> found = lookupWorkload(req.kernel);
-        if (!found.ok())
-            return fail(found.status());
-        w = found.value();
-    }
     Table t({"warps", "BASE", "DEP", "L1", "L2", "DRAM", "MSHR",
              "QUEUE", "SFU", "total CPI"});
     for (std::uint32_t warps : {8u, 16u, 24u, 32u, 48u}) {
         HardwareConfig config = req.config;
         config.warpsPerCore = warps;
-        ProfiledKernel pk = session.cache.profiler(*w, config);
+        ProfiledKernel pk = session.cache.profiler(w, config);
         GpuMechResult r = pk.profiler->evaluateAt(
             config, req.policy, ModelLevel::MT_MSHR_BAND, req.modelSfu);
         t.addRow({std::to_string(warps),
@@ -401,18 +351,12 @@ handleStack(EvalSession &session, const Request &req, std::ostream &os)
 }
 
 Response
-handleDumpTrace(EvalSession &session, const Request &req)
+handleDumpTrace(EvalSession &session, const Workload &w,
+                const Request &req)
 {
-    const Workload *w = nullptr;
-    {
-        Result<const Workload *> found = lookupWorkload(req.kernel);
-        if (!found.ok())
-            return fail(found.status());
-        w = found.value();
-    }
     const std::string &path = req.paths[0];
     std::shared_ptr<const KernelTrace> kernel =
-        session.cache.trace(*w, req.config);
+        session.cache.trace(w, req.config);
     Status written = writeTraceFile(path, *kernel, req.varint);
     if (!written.ok())
         return fail(written);
@@ -422,8 +366,10 @@ handleDumpTrace(EvalSession &session, const Request &req)
     return Response{};
 }
 
+/** Pack (to .gmt) or unpack (to text) the trace file paths[0] into
+ *  paths[1]. */
 Response
-handlePack(const Request &req)
+handleConvert(const Request &req)
 {
     const std::string &in = req.paths[0];
     const std::string &out = req.paths[1];
@@ -436,43 +382,25 @@ handlePack(const Request &req)
         return fail(Status(StatusCode::InvalidArgument,
                            msg("cannot open ", out, " for writing")));
     }
-    GmtWriteOptions options;
-    options.varintLines = req.varint;
-    writeGmt(os, kernel, options);
+    const bool pack = req.verb == Verb::Pack;
+    if (pack)
+        writeGmt(os, kernel, GmtWriteOptions{req.varint});
+    else
+        writeTrace(os, kernel);
     os.flush();
     if (!os) {
         return fail(Status(StatusCode::Internal,
                            msg("write to ", out, " failed")));
     }
-    inform(msg("packed ", kernel.numWarps(), " warps (",
-               kernel.totalInsts(), " insts, ", kernel.totalLines(),
-               " line addresses) into ", out,
-               options.varintLines ? " (varint line pool)" : ""));
-    return Response{};
-}
-
-Response
-handleUnpack(const Request &req)
-{
-    const std::string &in = req.paths[0];
-    const std::string &out = req.paths[1];
-    Result<KernelTrace> loaded = loadTraceFile(in);
-    if (!loaded.ok())
-        return fail(loaded.status());
-    KernelTrace kernel = std::move(loaded).value();
-    std::ofstream os(out, std::ios::binary);
-    if (!os) {
-        return fail(Status(StatusCode::InvalidArgument,
-                           msg("cannot open ", out, " for writing")));
+    if (pack) {
+        inform(msg("packed ", kernel.numWarps(), " warps (",
+                   kernel.totalInsts(), " insts, ", kernel.totalLines(),
+                   " line addresses) into ", out,
+                   req.varint ? " (varint line pool)" : ""));
+    } else {
+        inform(msg("unpacked ", kernel.numWarps(), " warps (",
+                   kernel.totalInsts(), " insts) into ", out));
     }
-    writeTrace(os, kernel);
-    os.flush();
-    if (!os) {
-        return fail(Status(StatusCode::Internal,
-                           msg("write to ", out, " failed")));
-    }
-    inform(msg("unpacked ", kernel.numWarps(), " warps (",
-               kernel.totalInsts(), " insts) into ", out));
     return Response{};
 }
 
@@ -655,48 +583,59 @@ EngineSession::EngineSession(const EngineOptions &options)
 Response
 EngineSession::dispatch(const Request &req)
 {
+    // A single-kernel verb resolves its workload once, here.
+    const Target target =
+        verbTable()[static_cast<std::size_t>(req.verb)].target;
+    const bool one_kernel =
+        target == Target::Kernel || target == Target::KernelAndOutput;
+    const Workload *w = one_kernel ? findWorkload(req.kernel) : nullptr;
+
     std::ostringstream os;
-    Response resp;
-    switch (req.verb) {
-      case Verb::List:
-        resp = handleList(os);
-        break;
-      case Verb::Model:
-      case Verb::Simulate:
-      case Verb::Sweep:
-      case Verb::Tune:
-      case Verb::Stack:
-        if (req.verb == Verb::Model)
-            resp = handleModel(eval, req, os);
-        else if (req.verb == Verb::Simulate)
-            resp = handleSimulate(eval, req, os);
-        else if (req.verb == Verb::Sweep)
-            resp = handleSweep(eval, req, os);
-        else if (req.verb == Verb::Tune)
-            resp = handleTune(eval, req, os);
-        else
-            resp = handleStack(eval, req, os);
+    Response resp =
+        one_kernel && w == nullptr
+            ? fail(Status(StatusCode::NotFound,
+                          msg("unknown workload: ", req.kernel)))
+            : run(req, w, os);
+    // Model, simulate, sweep, tune and stack report their kernel, failed
+    // or not; compare counts it once evaluated, dump-trace never.
+    if (target == Target::Kernel && req.verb != Verb::Compare) {
         resp.stats.kernels = 1;
         resp.stats.failed = resp.ok() ? 0 : 1;
-        break;
+    }
+    resp.output = os.str();
+    // A failed request keeps whatever partial report it rendered —
+    // the old CLI printed partial-suite tables before exiting 2.
+    return resp;
+}
+
+Response
+EngineSession::run(const Request &req, const Workload *w,
+                   std::ostream &os)
+{
+    switch (req.verb) {
+      case Verb::List:
+        return handleList(os);
+      case Verb::Model:
+        return handleModel(eval, *w, req, os);
+      case Verb::Simulate:
+        return handleSimulate(eval, *w, req, os);
+      case Verb::Sweep:
+        return handleSweep(eval, *w, req, os);
+      case Verb::Tune:
+        return handleTune(eval, *w, req, os);
+      case Verb::Stack:
+        return handleStack(eval, *w, req, os);
       case Verb::Compare:
-        resp = handleCompare(eval, req, os);
-        break;
+        return handleCompare(eval, *w, req, os);
       case Verb::DumpTrace:
-        resp = handleDumpTrace(eval, req);
-        break;
+        return handleDumpTrace(eval, *w, req);
       case Verb::Pack:
-        resp = handlePack(req);
-        break;
       case Verb::Unpack:
-        resp = handleUnpack(req);
-        break;
+        return handleConvert(req);
       case Verb::ModelTrace:
-        resp = handleModelTrace(eval, req, os);
-        break;
+        return handleModelTrace(eval, req, os);
       case Verb::Suite:
-        resp = handleSuite(eval, req, os);
-        break;
+        return handleSuite(eval, req, os);
       case Verb::Ping:
         os << "pong\n";
         break;
@@ -737,10 +676,7 @@ EngineSession::dispatch(const Request &req)
         break;
       }
     }
-    resp.output = os.str();
-    // A failed request keeps whatever partial report it rendered —
-    // the old CLI printed partial-suite tables before exiting 2.
-    return resp;
+    return Response{};
 }
 
 Response

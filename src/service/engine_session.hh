@@ -22,6 +22,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iosfwd>
 
 #include "harness/session.hh"
 #include "service/request.hh"
@@ -63,6 +64,10 @@ class EngineSession
 
   private:
     Response dispatch(const Request &request);
+
+    /** Run one verb's handler; @p workload is set for kernel verbs. */
+    Response run(const Request &request, const Workload *workload,
+                 std::ostream &os);
 
     EvalSession eval;
     std::atomic<std::uint64_t> handled{0};

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <istream>
 #include <ostream>
 #include <sstream>
 
@@ -202,101 +201,6 @@ encodeLinePool(const std::vector<Addr> &pool)
     return out;
 }
 
-// ---- byte sources ---------------------------------------------------
-
-/**
- * Strictly-forward byte source shared by the mmap/buffer path and the
- * streaming path. pull() fills exactly @p n bytes or fails with
- * TruncatedInput at the current offset; the decoder layers chunking,
- * checksumming, and deadline checkpoints on top.
- */
-class Source
-{
-  public:
-    virtual ~Source() = default;
-
-    /** Absolute offset of the next byte. */
-    std::uint64_t offset() const { return pos; }
-
-    Status
-    pull(void *dst, std::size_t n)
-    {
-        GPUMECH_TRY(doPull(dst, n));
-        pos += n;
-        return Status();
-    }
-
-    /** Discard @p n bytes (inter-section alignment padding). */
-    Status
-    discard(std::size_t n)
-    {
-        std::uint8_t scratch[64];
-        while (n > 0) {
-            std::size_t step = std::min(n, sizeof(scratch));
-            GPUMECH_TRY(pull(scratch, step));
-            n -= step;
-        }
-        return Status();
-    }
-
-  protected:
-    Status
-    truncated(std::size_t wanted) const
-    {
-        return gmtError(StatusCode::TruncatedInput, pos,
-                        msg("unexpected end of input (wanted ", wanted,
-                            " more bytes)"));
-    }
-
-  private:
-    virtual Status doPull(void *dst, std::size_t n) = 0;
-
-    std::uint64_t pos = 0;
-};
-
-/** Whole-image source (an MmapFile or in-memory string). */
-class MemSource : public Source
-{
-  public:
-    MemSource(const void *data, std::size_t size)
-        : cur(static_cast<const std::uint8_t *>(data)),
-          end(cur + size)
-    {}
-
-  private:
-    Status
-    doPull(void *dst, std::size_t n) override
-    {
-        if (static_cast<std::size_t>(end - cur) < n)
-            return truncated(n);
-        std::memcpy(dst, cur, n);
-        cur += n;
-        return Status();
-    }
-
-    const std::uint8_t *cur;
-    const std::uint8_t *end;
-};
-
-/** Sequential istream source (the no-mmap fallback). */
-class StreamSource : public Source
-{
-  public:
-    explicit StreamSource(std::istream &is) : is(is) {}
-
-  private:
-    Status
-    doPull(void *dst, std::size_t n) override
-    {
-        is.read(static_cast<char *>(dst), static_cast<std::streamsize>(n));
-        if (static_cast<std::size_t>(is.gcount()) != n)
-            return truncated(n);
-        return Status();
-    }
-
-    std::istream &is;
-};
-
 // ---- decoder --------------------------------------------------------
 
 /** Decoded columns plus the payload offsets their errors should cite. */
@@ -381,16 +285,20 @@ assemble(Columns &&cols)
     return kernel;
 }
 
+/** Payload bytes copied or decoded between deadline checkpoints. */
+constexpr std::size_t stepBytes = std::size_t(1) << 22;
+
 /**
- * The format decoder, shared by the buffer and stream paths: walks a
- * strictly-forward Source in bounded chunks, verifying checksums as
- * bytes arrive and calling deadlineCheckpoint() between chunks.
+ * The format decoder: a strictly-forward cursor over a whole in-memory
+ * image. Column payloads are copied and checksummed in stepBytes
+ * steps, and the varint line pool decodes in place, with one
+ * deadlineCheckpoint() per step.
  */
 class Decoder
 {
   public:
-    Decoder(Source &src, std::size_t chunk_bytes)
-        : src(src), chunkBytes(std::max<std::size_t>(chunk_bytes, 4096))
+    Decoder(const void *data, std::size_t size)
+        : image(static_cast<const std::uint8_t *>(data)), size(size)
     {}
 
     Result<KernelTrace>
@@ -407,7 +315,7 @@ class Decoder
         GPUMECH_TRY(readPayloads(cols));
         Result<KernelTrace> kernel = assemble(std::move(cols));
         if (kernel.ok() && measure) {
-            gmtMetrics().bytes.add(src.offset());
+            gmtMetrics().bytes.add(pos);
             gmtMetrics().sections.add(numSections);
             gmtMetrics().loadMs.observe(
                 static_cast<double>(monotonicNowNs() - t0) / 1e6);
@@ -416,15 +324,33 @@ class Decoder
     }
 
   private:
+    /**
+     * The next @p n bytes of the image, moving the cursor past them;
+     * TruncatedInput at the cursor when fewer remain.
+     */
+    Result<const std::uint8_t *>
+    take(std::uint64_t n)
+    {
+        if (size - pos < n) {
+            return gmtError(StatusCode::TruncatedInput, pos,
+                            msg("unexpected end of input (wanted ", n,
+                                " more bytes)"));
+        }
+        const std::uint8_t *at = image + pos;
+        pos += n;
+        return at;
+    }
+
     Status
     readHeader()
     {
-        FileHeader hdr;
-        Status pulled = src.pull(&hdr, sizeof(hdr));
-        if (!pulled.ok()) {
+        Result<const std::uint8_t *> at = take(sizeof(FileHeader));
+        if (!at.ok()) {
             return gmtError(StatusCode::TruncatedInput, 0,
                             "file shorter than the .gmt header");
         }
+        FileHeader hdr;
+        std::memcpy(&hdr, at.value(), sizeof(hdr));
         if (std::memcmp(hdr.magic, gmtMagic, sizeof(gmtMagic)) != 0) {
             return gmtError(StatusCode::ParseError, 0,
                             "bad magic (not a .gmt trace)");
@@ -481,15 +407,17 @@ class Decoder
     Status
     readTable()
     {
-        std::uint64_t table_off = src.offset();
+        std::uint64_t table_off = pos;
         std::vector<SectionEntry> table(sectionCount);
+        Result<const std::uint8_t *> at =
+            take(sectionCount * sizeof(SectionEntry));
+        if (!at.ok()) {
+            return gmtError(StatusCode::TruncatedInput, table_off,
+                            "file ends inside the section table");
+        }
         if (sectionCount > 0) {
-            Status pulled = src.pull(table.data(),
-                                     sectionCount * sizeof(SectionEntry));
-            if (!pulled.ok()) {
-                return gmtError(StatusCode::TruncatedInput, table_off,
-                                "file ends inside the section table");
-            }
+            std::memcpy(table.data(), at.value(),
+                        sectionCount * sizeof(SectionEntry));
         }
         if (fnv1a(table.data(), sectionCount * sizeof(SectionEntry)) !=
             tableChecksum) {
@@ -497,7 +425,7 @@ class Decoder
                             "section table fails its checksum");
         }
 
-        std::uint64_t prev_end = src.offset();
+        std::uint64_t prev_end = pos;
         bool seen[numSections + 1] = {};
         for (std::size_t i = 0; i < table.size(); ++i) {
             const SectionEntry &e = table[i];
@@ -590,21 +518,20 @@ class Decoder
     }
 
     /**
-     * Pull @p size payload bytes into @p dst in bounded chunks,
-     * checksumming as they arrive and yielding to the deadline
-     * watchdog between chunks.
+     * Copy section @p e's payload into @p dst in stepBytes steps,
+     * checksumming each step as it lands.
      */
     Status
-    pullChecked(void *dst, std::uint64_t size, const SectionEntry &e)
+    copyChecked(void *dst, const SectionEntry &e)
     {
         auto *out = static_cast<std::uint8_t *>(dst);
-        std::uint64_t done = 0;
         std::uint64_t hash = fnvOffset;
-        while (done < size) {
+        for (std::uint64_t done = 0; done < e.size;) {
             deadlineCheckpoint();
             std::size_t step = static_cast<std::size_t>(
-                std::min<std::uint64_t>(chunkBytes, size - done));
-            GPUMECH_TRY(src.pull(out + done, step));
+                std::min<std::uint64_t>(stepBytes, e.size - done));
+            GPUMECH_ASSIGN_OR_RETURN(const std::uint8_t *in, take(step));
+            std::memcpy(out + done, in, step);
             hash = fnv1a(out + done, step, hash);
             done += step;
         }
@@ -616,41 +543,39 @@ class Decoder
         return Status();
     }
 
-    /** Chunked varint-delta decode of the line pool. */
+    /**
+     * Varint-delta decode of the line pool, in place. The pool is
+     * taken and checksummed in stepBytes steps; the next step is taken
+     * before decoding a varint that starts within 10 bytes (the
+     * longest varint) of the bytes taken so far.
+     */
     Status
     decodeVarintPool(std::vector<Addr> &pool, const SectionEntry &e)
     {
         pool.clear();
         pool.reserve(static_cast<std::size_t>(e.count));
-        std::vector<std::uint8_t> buf;
-        std::size_t have = 0;   //!< valid bytes in buf
-        std::size_t at = 0;     //!< decode cursor in buf
-        std::uint64_t remaining = e.size;
+        const std::uint8_t *bytes = image + pos;
+        std::uint64_t taken = 0; //!< pool bytes taken so far
+        std::uint64_t at = 0;    //!< decode cursor
         std::uint64_t hash = fnvOffset;
         Addr prev = 0;
 
         while (pool.size() < e.count) {
-            // Refill: keep undecoded carry bytes, append a chunk.
-            if (have - at < 10 && remaining > 0) {
+            if (taken - at < 10 && taken < e.size) {
                 deadlineCheckpoint();
-                std::copy(buf.begin() + at, buf.begin() + have,
-                          buf.begin());
-                have -= at;
-                at = 0;
                 std::size_t step = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(chunkBytes, remaining));
-                buf.resize(have + step);
-                GPUMECH_TRY(src.pull(buf.data() + have, step));
-                hash = fnv1a(buf.data() + have, step, hash);
-                have += step;
-                remaining -= step;
+                    std::min<std::uint64_t>(stepBytes, e.size - taken));
+                GPUMECH_ASSIGN_OR_RETURN(const std::uint8_t *in,
+                                         take(step));
+                hash = fnv1a(in, step, hash);
+                taken += step;
             }
-            // Decode one varint.
+            // Decode one varint. Its tenth byte carries bit 63 only.
             std::uint64_t v = 0;
             unsigned shift = 0;
             bool done = false;
-            while (at < have) {
-                std::uint8_t byte = buf[at++];
+            while (at < taken) {
+                std::uint8_t byte = bytes[at++];
                 if (shift == 63 && byte > 1) {
                     return gmtError(StatusCode::Overflow, e.offset,
                                     "varint exceeds 64 bits");
@@ -661,10 +586,6 @@ class Decoder
                     break;
                 }
                 shift += 7;
-                if (shift > 63) {
-                    return gmtError(StatusCode::Overflow, e.offset,
-                                    "varint exceeds 64 bits");
-                }
             }
             if (!done) {
                 return gmtError(StatusCode::TruncatedInput,
@@ -676,7 +597,7 @@ class Decoder
             prev += static_cast<Addr>(unzigzag(v));
             pool.push_back(prev);
         }
-        if (at != have || remaining != 0) {
+        if (at != taken || taken != e.size) {
             return gmtError(StatusCode::ParseError, e.offset,
                             msg("line pool has trailing bytes after ",
                                 e.count, " addresses"));
@@ -690,63 +611,65 @@ class Decoder
 
     template <typename T>
     Status
-    pullColumn(std::vector<T> &out, const SectionEntry &e)
+    copyColumn(std::vector<T> &out, const SectionEntry &e)
     {
         out.resize(static_cast<std::size_t>(e.count));
-        return pullChecked(out.data(), e.size, e);
+        return copyChecked(out.data(), e);
     }
 
     Status
     readPayloads(Columns &cols)
     {
         for (const SectionEntry &e : sections) {
-            // Skip inter-section alignment padding.
-            if (e.offset > src.offset()) {
-                GPUMECH_TRY(src.discard(static_cast<std::size_t>(
-                    e.offset - src.offset())));
+            // Skip the alignment padding in steps of at most 64
+            // bytes: a file that ends inside it is truncated at the
+            // step that runs past the end.
+            while (pos < e.offset) {
+                GPUMECH_TRY(
+                    take(std::min<std::uint64_t>(e.offset - pos, 64))
+                        .status());
             }
             switch (e.id) {
               case SecKernelName:
                 cols.name.resize(static_cast<std::size_t>(e.count));
-                GPUMECH_TRY(pullChecked(cols.name.data(), e.size, e));
+                GPUMECH_TRY(copyChecked(cols.name.data(), e));
                 break;
               case SecStaticOps:
                 cols.offStaticOps = e.offset;
-                GPUMECH_TRY(pullColumn(cols.staticOps, e));
+                GPUMECH_TRY(copyColumn(cols.staticOps, e));
                 break;
               case SecStaticLabels:
                 cols.labelBlob.resize(static_cast<std::size_t>(e.size));
-                GPUMECH_TRY(pullChecked(cols.labelBlob.data(), e.size,
-                                        e));
+                GPUMECH_TRY(copyChecked(cols.labelBlob.data(), e));
                 break;
               case SecWarpIds:
                 cols.offWarps = e.offset;
-                GPUMECH_TRY(pullColumn(cols.warpIds, e));
+                GPUMECH_TRY(copyColumn(cols.warpIds, e));
                 break;
               case SecWarpBlocks:
-                GPUMECH_TRY(pullColumn(cols.warpBlocks, e));
+                GPUMECH_TRY(copyColumn(cols.warpBlocks, e));
                 break;
               case SecWarpInstCounts:
-                GPUMECH_TRY(pullColumn(cols.warpCounts, e));
+                GPUMECH_TRY(copyColumn(cols.warpCounts, e));
                 break;
               case SecInstPcs:
                 cols.offInsts = e.offset;
-                GPUMECH_TRY(pullColumn(cols.instPcs, e));
+                GPUMECH_TRY(copyColumn(cols.instPcs, e));
                 break;
               case SecInstActives:
-                GPUMECH_TRY(pullColumn(cols.instActives, e));
+                GPUMECH_TRY(copyColumn(cols.instActives, e));
                 break;
               case SecInstDeps:
-                GPUMECH_TRY(pullColumn(cols.instDeps, e));
+                GPUMECH_TRY(copyColumn(cols.instDeps, e));
                 break;
               case SecInstLineCounts:
-                GPUMECH_TRY(pullColumn(cols.instLineCnts, e));
+                GPUMECH_TRY(copyColumn(cols.instLineCnts, e));
                 break;
               case SecLinePool:
                 if (varintPool) {
                     GPUMECH_TRY(decodeVarintPool(cols.linePool, e));
                 } else {
-                    GPUMECH_TRY(pullColumn(cols.linePool, e));
+                    GPUMECH_TRY(copyColumn(cols.linePool, e));
                 }
                 break;
             }
@@ -754,8 +677,9 @@ class Decoder
         return Status();
     }
 
-    Source &src;
-    std::size_t chunkBytes;
+    const std::uint8_t *image;
+    std::size_t size;
+    std::uint64_t pos = 0; //!< the cursor: offset of the next byte
     bool varintPool = false;
     std::uint32_t sectionCount = 0;
     std::uint64_t tableChecksum = 0;
@@ -923,28 +847,13 @@ gmtToString(const KernelTrace &kernel, const GmtWriteOptions &options)
 Result<KernelTrace>
 parseGmtBuffer(const void *data, std::size_t size)
 {
-    MemSource src(data, size);
-    Decoder decoder(src, std::size_t(1) << 22);
-    return decoder.run();
+    return Decoder(data, size).run();
 }
 
 Result<KernelTrace>
 parseGmtString(const std::string &bytes)
 {
     return parseGmtBuffer(bytes.data(), bytes.size());
-}
-
-GmtChunkedReader::GmtChunkedReader(std::istream &is,
-                                   std::size_t chunk_bytes)
-    : is(is), chunkBytes(chunk_bytes)
-{}
-
-Result<KernelTrace>
-GmtChunkedReader::read()
-{
-    StreamSource src(is);
-    Decoder decoder(src, chunkBytes);
-    return decoder.run();
 }
 
 } // namespace gpumech

@@ -42,10 +42,13 @@
  *   NotFound         opcode byte outside the ISA
  *   FailedValidation decoded trace fails KernelTrace::validate()
  *
- * Decode paths call evalCheckpoint(FaultSite::Parse) at entry and
- * deadlineCheckpoint() between bounded chunks, so a pathological or
- * enormous file degrades to a structured per-kernel failure under the
- * harness watchdog exactly like a text trace.
+ * There is one decode path, parseGmtBuffer over a whole in-memory
+ * image: loadTraceFile maps the file (MmapFile, with a buffered-read
+ * fallback) and streamTraceSet loads each file through it. It calls
+ * evalCheckpoint(FaultSite::Parse) at entry and deadlineCheckpoint()
+ * once per 4 MiB step, so a pathological or enormous file degrades to
+ * a structured per-kernel failure under the harness watchdog exactly
+ * like a text trace.
  */
 
 #ifndef GPUMECH_TRACE_GMT_FORMAT_HH
@@ -102,38 +105,15 @@ std::string gmtToString(const KernelTrace &kernel,
 
 /**
  * Decode a complete in-memory .gmt image (typically an MmapFile).
- * Column copies and varint decode run in bounded chunks with deadline
- * checkpoints. On success records the gmt.load.ms / gmt.bytes /
- * gmt.sections metrics.
+ * Columns are copied and checksummed, and the varint line pool
+ * decoded in place, in 4 MiB steps with a deadline checkpoint each.
+ * On success records the gmt.load.ms / gmt.bytes / gmt.sections
+ * metrics.
  */
 Result<KernelTrace> parseGmtBuffer(const void *data, std::size_t size);
 
 /** Convenience: decode from a byte string. */
 Result<KernelTrace> parseGmtString(const std::string &bytes);
-
-/**
- * Streaming chunked decoder: reads the stream strictly forward in
- * bounded chunks (no whole-file buffer), decoding each section
- * directly into its final column storage, with a deadline checkpoint
- * per chunk. Peak transient memory beyond the decoded trace is one
- * chunk, so arbitrarily large files stream through; the harness uses
- * it when mmap is unavailable, and the trace-set pipeline
- * (streamTraceSet) uses it to overlap decode with collection.
- */
-class GmtChunkedReader
-{
-  public:
-    /** @param chunk_bytes read/copy granularity (min 4 KiB). */
-    explicit GmtChunkedReader(std::istream &is,
-                              std::size_t chunk_bytes = 1 << 22);
-
-    /** Decode the whole stream into a KernelTrace. Single use. */
-    Result<KernelTrace> read();
-
-  private:
-    std::istream &is;
-    std::size_t chunkBytes;
-};
 
 } // namespace gpumech
 

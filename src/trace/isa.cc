@@ -83,15 +83,6 @@ toString(Opcode op)
     return "?";
 }
 
-Opcode
-opcodeFromString(const std::string &name)
-{
-    Opcode op;
-    if (!tryOpcodeFromString(name, op))
-        fatal(msg("unknown opcode mnemonic: ", name));
-    return op;
-}
-
 bool
 tryOpcodeFromString(const std::string &name, Opcode &op)
 {

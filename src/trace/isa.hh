@@ -58,13 +58,9 @@ std::uint32_t fixedLatency(Opcode op, const LatencyTable &table);
 /** Mnemonic string for an opcode. */
 std::string toString(Opcode op);
 
-/** Parse a mnemonic produced by toString(); fatal on unknown input. */
-Opcode opcodeFromString(const std::string &name);
-
 /**
- * Non-fatal mnemonic lookup: true and sets @p op on success. The
- * trace parser uses this so an unknown mnemonic becomes a returned
- * Status instead of process death.
+ * Mnemonic lookup, the inverse of toString(): true and sets @p op on
+ * success. The trace parser turns a false into a returned Status.
  */
 bool tryOpcodeFromString(const std::string &name, Opcode &op);
 

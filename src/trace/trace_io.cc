@@ -346,12 +346,6 @@ parseTraceString(const std::string &text)
 }
 
 KernelTrace
-readTrace(std::istream &is)
-{
-    return parseTrace(is).valueOrDie();
-}
-
-KernelTrace
 traceFromString(const std::string &text)
 {
     return parseTraceString(text).valueOrDie();

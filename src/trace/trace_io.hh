@@ -43,12 +43,6 @@ Result<KernelTrace> parseTrace(std::istream &is);
 /** Convenience: parse from a string. */
 Result<KernelTrace> parseTraceString(const std::string &text);
 
-/**
- * CLI-level wrapper around parseTrace: fatal() on malformed input.
- * Library code should call parseTrace and propagate the Status.
- */
-KernelTrace readTrace(std::istream &is);
-
 /** CLI-level wrapper around parseTraceString; fatal on error. */
 KernelTrace traceFromString(const std::string &text);
 

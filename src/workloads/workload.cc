@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "trace/trace_io.hh"
 
 namespace gpumech
 {
@@ -111,22 +110,6 @@ controlDivergentWorkloads()
             result.push_back(w);
     }
     return result;
-}
-
-Workload
-traceFileWorkload(const std::string &path)
-{
-    Workload w;
-    w.name = "file:" + path;
-    w.suite = "external";
-    w.description = "on-disk kernel trace " + path;
-    w.generate = [path](const HardwareConfig &) {
-        Result<KernelTrace> loaded = loadTraceFile(path);
-        if (!loaded.ok())
-            throw StatusException(loaded.status());
-        return std::move(loaded).value();
-    };
-    return w;
 }
 
 } // namespace gpumech

@@ -72,18 +72,6 @@ Result<std::vector<Workload>> suiteByName(const std::string &suite);
 /** Evaluation workloads flagged control-divergent (Figure 7 set). */
 std::vector<Workload> controlDivergentWorkloads();
 
-/**
- * Wrap an on-disk trace file (either format, see loadTraceFile) as a
- * workload named "file:<path>" in suite "external", so external traces
- * flow through the same harness paths as generated kernels — including
- * the InputCache, whose workload-name key component keeps cached
- * entries of different files (and of generated workloads) distinct.
- * generate() ignores the configuration and throws StatusException on a
- * malformed or missing file, which the harness's per-kernel
- * containment turns into one failed kernel.
- */
-Workload traceFileWorkload(const std::string &path);
-
 // Suite factories (used by workload.cc; exposed for tests).
 std::vector<Workload> makeRodiniaSuite();
 std::vector<Workload> makeParboilSuite();

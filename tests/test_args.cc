@@ -89,6 +89,15 @@ TEST(Args, OptionNamesListsEveryGivenOption)
                     .empty());
 }
 
+TEST(Args, CheckOptionNamesRejectsTheFirstUnknownName)
+{
+    ArgParser a({"--out", "f", "--zeta", "1", "--bogus", "2"});
+    EXPECT_TRUE(a.checkOptionNames({"bogus", "out", "zeta"}).ok());
+    Status s = a.checkOptionNames({"out", "jobs"});
+    EXPECT_EQ(s.code(), StatusCode::InvalidArgument);
+    EXPECT_EQ(s.message(), "unknown option --bogus");
+}
+
 TEST(Args, DefaultsWhenAbsent)
 {
     ArgParser a({});

@@ -2,9 +2,8 @@
  * @file
  * JSON parser (common/json_value) unit tests: grammar acceptance,
  * strictness (trailing garbage, control characters, depth cap),
- * escape decoding, and the typed convenience lookups the request
- * parser is built on. A writer→parser round trip pins the two sides
- * of the JSON layer to each other.
+ * escape decoding, and member lookup. A writer→parser round trip
+ * pins the two sides of the JSON layer to each other.
  */
 
 #include <gtest/gtest.h>
@@ -136,34 +135,6 @@ TEST(JsonValue, DuplicateKeysResolveToFirst)
 {
     JsonValue v = mustParse(R"({"k":1,"k":2})");
     EXPECT_DOUBLE_EQ(v.find("k")->number(), 1.0);
-}
-
-TEST(JsonValue, TypedLookups)
-{
-    JsonValue v = mustParse(
-        R"({"s":"str","n":3.5,"b":true,"nil":null})");
-
-    auto s = v.getString("s");
-    ASSERT_TRUE(s.ok());
-    EXPECT_EQ(s.value(), "str");
-    auto n = v.getNumber("n", 0.0);
-    ASSERT_TRUE(n.ok());
-    EXPECT_DOUBLE_EQ(n.value(), 3.5);
-    auto b = v.getBool("b", false);
-    ASSERT_TRUE(b.ok());
-    EXPECT_TRUE(b.value());
-
-    // Absent and null members fall back.
-    EXPECT_EQ(v.getString("missing", "fb").value(), "fb");
-    EXPECT_DOUBLE_EQ(v.getNumber("nil", 7.0).value(), 7.0);
-
-    // Kind mismatches are InvalidArgument naming the field.
-    auto bad = v.getString("n");
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(bad.status().code(), StatusCode::InvalidArgument);
-    EXPECT_NE(bad.status().message().find("'n'"), std::string::npos);
-    EXPECT_FALSE(v.getNumber("s", 0.0).ok());
-    EXPECT_FALSE(v.getBool("s", false).ok());
 }
 
 TEST(JsonValue, RoundTripsJsonWriterOutput)

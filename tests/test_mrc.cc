@@ -4,21 +4,25 @@
  * sampling, the balanced-mapping associativity conversion, the
  * exactness contract of deriveCollectorResult() against the functional
  * collector, and the sweep-mode plumbing (including bit-identity of
- * --sweep-mode=rerun with the pre-MRC engine, pinned by a golden CSV).
+ * --sweep-mode=rerun with the pre-MRC engine, pinned by
+ * tests/golden/sweep_cachegeom_rerun.csv).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
+#include <map>
 #include <random>
 #include <sstream>
 
 #include "collector/input_collector.hh"
 #include "collector/mrc_collector.hh"
 #include "common/status.hh"
+#include "common/table.hh"
 #include "core/gpumech.hh"
-#include "harness/sweep.hh"
+#include "harness/experiment.hh"
 #include "mem/mrc.hh"
 #include "trace/trace_builder.hh"
 #include "workloads/workload.hh"
@@ -483,22 +487,6 @@ TEST(MrcSweep, ModelCpiDriftWithinTwoPercentOfRerun)
 // Sweep plumbing: golden bit-identity of rerun mode, mode parsing
 // ---------------------------------------------------------------------
 
-/**
- * Captured from the pre-MRC engine (commit 25f8889) by running exactly
- * the sweep reconstructed below; also stored at
- * tests/golden/sweep_cachegeom_rerun.csv. --sweep-mode=rerun must
- * keep reproducing it byte-for-byte. The MT_MSHR_BAND row was
- * re-captured when the bandwidth queue gained its continuity clamp at
- * kBandwidthRhoClamp (the only model whose numbers moved).
- */
-const char *const sweepGoldenCsv =
-    "model,l1-1kb,l1-2kb,l1-4kb,l2-4kb,l2-16kb\n"
-    "Naive_Interval,0.092766,0.118674,0.153197,0.161636,0.174839\n"
-    "Markov_Chain,0.071879,0.097554,0.128118,0.135884,0.147205\n"
-    "MT,0.091762,0.117320,0.151579,0.159949,0.173040\n"
-    "MT_MSHR,0.091762,0.117320,0.151579,0.159949,0.173040\n"
-    "MT_MSHR_BAND,0.076617,0.088507,0.086207,0.085991,0.086426\n";
-
 std::vector<Workload>
 goldenSweepKernels()
 {
@@ -512,63 +500,56 @@ goldenSweepKernels()
     return kernels;
 }
 
-std::vector<SweepPoint>
-goldenSweepPoints()
+/**
+ * tests/golden/sweep_cachegeom_rerun.csv was captured from the pre-MRC
+ * engine (commit 25f8889) by running exactly the sweep below: every
+ * model's mean error over goldenSweepKernels() at each cache geometry,
+ * on one InputCache shared across the points. Rerun mode must keep
+ * reproducing it byte-for-byte. The MT_MSHR_BAND row was re-captured
+ * when the bandwidth queue gained its continuity clamp at
+ * kBandwidthRhoClamp (the only model whose numbers moved).
+ */
+TEST(MrcSweep, RerunModeIsBitIdenticalToGolden)
 {
-    std::vector<SweepPoint> points;
+    std::vector<std::pair<std::string, HardwareConfig>> points;
     for (std::uint32_t kb : {1u, 2u, 4u}) {
         HardwareConfig config;
         config.numCores = 2;
         config.warpsPerCore = 4;
         config.l1SizeBytes = kb * 1024;
-        points.push_back({"l1-" + std::to_string(kb) + "kb", config});
+        points.emplace_back("l1-" + std::to_string(kb) + "kb", config);
     }
     for (std::uint32_t kb : {4u, 16u}) {
         HardwareConfig config;
         config.numCores = 2;
         config.warpsPerCore = 4;
         config.l2SizeBytes = kb * 1024;
-        points.push_back({"l2-" + std::to_string(kb) + "kb", config});
+        points.emplace_back("l2-" + std::to_string(kb) + "kb", config);
     }
-    return points;
-}
 
-TEST(MrcSweep, RerunModeIsBitIdenticalToGolden)
-{
-    SweepResult result =
-        runSweep(goldenSweepKernels(), goldenSweepPoints(),
-                 SchedulingPolicy::RoundRobin, false, 1);
-    ASSERT_TRUE(result.complete());
-    std::ostringstream csv;
-    printSweepCsv(csv, result);
-    EXPECT_EQ(csv.str(), sweepGoldenCsv);
-}
-
-TEST(MrcSweep, MrcModeCompletesAndStaysClose)
-{
-    // Same sweep through the MRC path: every cell must evaluate, and
-    // the per-model average errors (vs the timing oracle) must land
-    // near the rerun numbers — the model inputs changed by at most the
-    // derivation approximations.
-    SweepOptions options;
-    options.mode = SweepMode::Mrc;
-    SweepResult rerun =
-        runSweep(goldenSweepKernels(), goldenSweepPoints(),
-                 SchedulingPolicy::RoundRobin, false, 1);
-    SweepResult mrc =
-        runSweep(goldenSweepKernels(), goldenSweepPoints(),
-                 SchedulingPolicy::RoundRobin, false, 1, nullptr, {},
-                 options);
-    ASSERT_TRUE(mrc.complete());
-    ASSERT_EQ(mrc.labels, rerun.labels);
-    for (const auto &[model, averages] : rerun.averages) {
-        const auto it = mrc.averages.find(model);
-        ASSERT_NE(it, mrc.averages.end());
-        for (std::size_t i = 0; i < averages.size(); ++i) {
-            EXPECT_NEAR(it->second[i], averages[i], 0.02)
-                << toString(model) << " at " << rerun.labels[i];
-        }
+    const std::vector<Workload> kernels = goldenSweepKernels();
+    InputCache cache;
+    std::map<ModelKind, std::string> rows;
+    std::string csv = "model";
+    for (const auto &[label, config] : points) {
+        csv += "," + label;
+        std::vector<KernelEvaluation> evals =
+            evaluateSuite(kernels, config, SchedulingPolicy::RoundRobin,
+                          allModels(), false, 1, &cache);
+        ASSERT_EQ(countFailures(evals), 0u) << failureSummary(evals);
+        for (ModelKind kind : allModels())
+            rows[kind] += "," + fmtDouble(averageError(evals, kind), 6);
     }
+    csv += "\n";
+    for (ModelKind kind : allModels())
+        csv += toString(kind) + rows[kind] + "\n";
+
+    std::ifstream in(GPUMECH_GOLDEN_DIR "/sweep_cachegeom_rerun.csv");
+    ASSERT_TRUE(in) << "cannot read " GPUMECH_GOLDEN_DIR
+                       "/sweep_cachegeom_rerun.csv";
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(csv, golden.str());
 }
 
 TEST(MrcSweep, ParseSweepMode)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the parallel evaluation engine: the shared thread pool,
- * parallel per-warp profiling, parallel suite/sweep evaluation, the
+ * parallel per-warp profiling, parallel suite evaluation, the
  * keyed input cache, and the configuration cache-key contracts.
  *
  * The engine's central guarantee is that parallelism and caching are
@@ -23,7 +23,7 @@
 #include "common/status.hh"
 #include "common/thread_pool.hh"
 #include "core/interval_builder.hh"
-#include "harness/sweep.hh"
+#include "harness/experiment.hh"
 
 namespace gpumech
 {
@@ -338,43 +338,6 @@ TEST(ParallelSuite, ParallelAndCachedMatchSerial)
                                 allModels(), false, 2, &cache);
     expectEvaluationsIdentical(serial, cached);
     EXPECT_EQ(cache.profilerMisses(), suite.size());
-}
-
-TEST(ParallelSuite, SweepMatchesAcrossJobCountsAndSharedCache)
-{
-    auto suite = testSuite();
-    std::vector<SweepPoint> points;
-    for (std::uint32_t mshrs : {8u, 32u}) {
-        HardwareConfig c = smallConfig();
-        c.numMshrs = mshrs;
-        points.push_back(SweepPoint{std::to_string(mshrs), c});
-    }
-
-    auto serial = runSweep(suite, points, SchedulingPolicy::RoundRobin,
-                           false, 1);
-    InputCache shared;
-    auto parallel = runSweep(suite, points,
-                             SchedulingPolicy::RoundRobin, false, 4,
-                             &shared);
-
-    ASSERT_EQ(serial.labels, parallel.labels);
-    for (ModelKind kind : allModels()) {
-        ASSERT_EQ(serial.averages.at(kind).size(),
-                  parallel.averages.at(kind).size());
-        for (std::size_t p = 0; p < serial.averages.at(kind).size();
-             ++p) {
-            EXPECT_EQ(serial.averages.at(kind)[p],
-                      parallel.averages.at(kind)[p])
-                << toString(kind) << " point " << p;
-        }
-    }
-
-    // Both points share trace/collector/profiler work: the MSHR count
-    // is not part of any cache key.
-    EXPECT_EQ(shared.traceMisses(), suite.size());
-    EXPECT_EQ(shared.collectorMisses(), suite.size());
-    EXPECT_EQ(shared.profilerMisses(), suite.size());
-    EXPECT_GE(shared.profilerHits(), suite.size());
 }
 
 TEST(ParallelSuite, PredictSuiteMatchesPerKernelRuns)

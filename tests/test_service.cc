@@ -620,6 +620,30 @@ TEST(EngineSession, UnknownTargetsFailClosed)
     EXPECT_EQ(sresp.exitCode, 1);
 }
 
+TEST(EngineSession, UnknownKernelCountsPerVerb)
+{
+    // Model, simulate, sweep, tune and stack count the unknown kernel
+    // as one failed kernel; compare and dump-trace count none.
+    EngineSession engine;
+    for (Verb verb : {Verb::Model, Verb::Simulate, Verb::Sweep, Verb::Tune,
+                      Verb::Stack, Verb::Compare, Verb::DumpTrace}) {
+        Request req;
+        req.verb = verb;
+        req.kernel = "no_such_kernel";
+        req.paths = {"unused.gmt"};
+        Response resp = engine.handle(req);
+        EXPECT_EQ(resp.status.code(), StatusCode::NotFound)
+            << toString(verb);
+        EXPECT_EQ(resp.status.message(),
+                  "unknown workload: no_such_kernel");
+        EXPECT_EQ(resp.exitCode, 1);
+        const std::size_t counted =
+            verb == Verb::Compare || verb == Verb::DumpTrace ? 0 : 1;
+        EXPECT_EQ(resp.stats.kernels, counted) << toString(verb);
+        EXPECT_EQ(resp.stats.failed, counted) << toString(verb);
+    }
+}
+
 TEST(EngineSession, SuitePartialFailureKeepsExitCodeTwo)
 {
     EngineSession engine;

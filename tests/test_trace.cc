@@ -52,8 +52,12 @@ TEST(Isa, MnemonicRoundTrip)
 {
     for (std::uint32_t i = 0; i < numOpcodes; ++i) {
         auto op = static_cast<Opcode>(i);
-        EXPECT_EQ(opcodeFromString(toString(op)), op);
+        Opcode parsed{};
+        ASSERT_TRUE(tryOpcodeFromString(toString(op), parsed));
+        EXPECT_EQ(parsed, op);
     }
+    Opcode unknown{};
+    EXPECT_FALSE(tryOpcodeFromString("no.such.op", unknown));
 }
 
 TEST(Coalescer, FullyCoalescedWarpIsOneLine)

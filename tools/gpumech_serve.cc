@@ -54,10 +54,8 @@
  * after a clean drain, 1 on setup/argument errors.
  */
 
-#include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <iterator>
 
 #include "common/args.hh"
 #include "common/logging.hh"
@@ -96,25 +94,20 @@ installSignalHandlers()
     signal(SIGPIPE, SIG_IGN);
 }
 
-/** The documented options, as in the usage above. */
-constexpr const char *knownOptions[] = {
-    "socket", "max-queue", "dispatch", "max-inflight", "jobs",
-    "kernel-timeout-ms", "write-timeout-ms", "idle-timeout-ms",
-    "max-line-bytes", "no-output", "metrics"};
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     ArgParser args(argc, argv);
-    for (const std::string &name : args.optionNames()) {
-        if (std::find(std::begin(knownOptions), std::end(knownOptions),
-                      name) == std::end(knownOptions)) {
-            std::fprintf(stderr, "error: unknown option --%s\n",
-                         name.c_str());
-            return 1;
-        }
+    // The documented options, as in the usage above.
+    if (Status known = args.checkOptionNames(
+            {"socket", "max-queue", "dispatch", "max-inflight", "jobs",
+             "kernel-timeout-ms", "write-timeout-ms", "idle-timeout-ms",
+             "max-line-bytes", "no-output", "metrics"});
+        !known.ok()) {
+        std::fprintf(stderr, "error: %s\n", known.message().c_str());
+        return 1;
     }
     if (args.numPositional() > 0) {
         std::fprintf(stderr, "error: unexpected argument '%s'\n",
