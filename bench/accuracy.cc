@@ -261,10 +261,10 @@ run(Ledger &ledger, EvalSession &session)
                 ++oracle_runs;
                 for (auto &[name, p] : cell.models) {
                     const Variant &v = p.variant;
-                    ProfiledKernel pk = session.cache.profiler(
-                        *cell.workload, config, v.selection, v.k);
-                    p.result = predictModel(*pk.profiler, config,
-                                            cell.policy, v.model, v.sfu);
+                    p.result = predictModel(
+                        *session.cache.profiler(*cell.workload, config,
+                                                v.selection, v.k),
+                        config, cell.policy, v.model, v.sfu);
                 }
             },
             1, session.jobs);

@@ -72,7 +72,8 @@ double
 exhaustiveBestCpi(EvalSession &session, const Workload &w,
                   const HardwareConfig &base)
 {
-    ProfiledKernel pk = session.cache.mrcProfiler(w, base, 1.0);
+    std::shared_ptr<const GpuMechProfiler> profiler =
+        session.cache.mrcProfiler(w, base, 1.0);
     double best = std::numeric_limits<double>::infinity();
     for (double l1 : kL1Ladder) {
         for (double l2 : kL2Ladder) {
@@ -80,7 +81,7 @@ exhaustiveBestCpi(EvalSession &session, const Workload &w,
             config.l1SizeBytes = static_cast<std::uint32_t>(l1) * 1024;
             config.l2SizeBytes = static_cast<std::uint32_t>(l2) * 1024;
             config.validate().orDie();
-            double cpi = pk.profiler
+            double cpi = profiler
                              ->evaluateAt(config,
                                           SchedulingPolicy::RoundRobin,
                                           ModelLevel::MT_MSHR_BAND,

@@ -78,6 +78,14 @@ class MemoCache
                        [&] { entry->value = std::move(value); });
     }
 
+    /** Whether @p key has an entry (not counted as a lookup). */
+    bool
+    contains(const std::string &key) const
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        return entries.count(key) != 0;
+    }
+
     /** Lookups that found an existing entry. */
     std::size_t
     hits() const

@@ -76,6 +76,49 @@ repKey(const HardwareConfig &config)
     return msg(config.collectorKey(), "|ir=", config.issueRate);
 }
 
+/**
+ * A one-warp trace: @p kernel's name and static program plus warp
+ * @p index (as warp 0, with its id and block). The interval builder
+ * and the collector-result derivation read nothing else.
+ */
+KernelTrace
+sliceWarp(const KernelTrace &kernel, std::uint32_t index)
+{
+    KernelTrace slice(kernel.name());
+    for (const StaticInst &inst : kernel.staticInsts())
+        slice.addStatic(inst.op, inst.label);
+    const WarpView warp = kernel.warp(index);
+    const std::uint64_t first = kernel.instOffsetOf(index);
+    const std::uint64_t end = first + warp.numInsts();
+    auto window = [&](const auto &column) {
+        return std::vector(column.begin() + first, column.begin() + end);
+    };
+    std::vector<Addr> lines;
+    for (std::uint64_t i = first; i < end; ++i) {
+        LineSpan span = kernel.linesOfFlat(i);
+        lines.insert(lines.end(), span.begin(), span.end());
+    }
+    slice
+        .adoptColumns({warp.warpId()}, {warp.blockId()},
+                      {static_cast<std::uint32_t>(warp.numInsts())},
+                      window(kernel.instPcs()),
+                      window(kernel.instActives()),
+                      window(kernel.instDeps()),
+                      window(kernel.instLineCounts()), std::move(lines))
+        .orDie();
+    return slice;
+}
+
+/** A source that hands back the caller's own trace, unowned. */
+GpuMechProfiler::TraceSource
+callerTrace(const KernelTrace &kernel)
+{
+    return [&kernel] {
+        return std::shared_ptr<const KernelTrace>(
+            std::shared_ptr<const KernelTrace>(), &kernel);
+    };
+}
+
 } // namespace
 
 GpuMechProfiler::GpuMechProfiler(
@@ -83,8 +126,11 @@ GpuMechProfiler::GpuMechProfiler(
     RepSelection selection, std::uint32_t num_clusters,
     unsigned profile_threads,
     std::shared_ptr<const CollectorResult> precollected,
-    std::shared_ptr<const MrcProfile> mrc)
-    : kernel(kernel), config(config), mrcProfile(std::move(mrc))
+    std::shared_ptr<const MrcProfile> mrc, TraceSource refetch)
+    : config(config),
+      fullTrace(refetch ? std::move(refetch) : callerTrace(kernel)),
+      mrcProfile(std::move(mrc)), warps(kernel.numWarps()),
+      insts(kernel.totalInsts())
 {
     if (kernel.numWarps() == 0) {
         // Thrown (not fatal) so the per-kernel containment boundary in
@@ -113,9 +159,9 @@ GpuMechProfiler::GpuMechProfiler(
             buildAllFeatures(kernel, *collected, config,
                              profile_threads),
             selection, num_clusters);
+        slice = sliceWarp(kernel, repWarp);
         representative = std::make_shared<const IntervalProfile>(
-            buildIntervalProfile(kernel.warp(repWarp), *collected,
-                                 config));
+            buildIntervalProfile(slice.warp(0), *collected, config));
     }
     // Seed the evaluateAt memos with the profiling configuration's
     // artifacts so re-evaluating at (or near) it is free.
@@ -126,7 +172,8 @@ GpuMechProfiler::GpuMechProfiler(
 std::size_t
 GpuMechProfiler::memoryFootprint() const
 {
-    return representative->intervals.capacity() * sizeof(Interval);
+    return slice.memoryFootprint() +
+           representative->intervals.capacity() * sizeof(Interval);
 }
 
 GpuMechResult
@@ -151,18 +198,19 @@ GpuMechProfiler::evaluateAt(const HardwareConfig &new_config,
     std::shared_ptr<const CollectorResult> new_inputs =
         collectorMemo.getOrCompute(new_config.collectorKey(), [&] {
             if (mrcProfile) {
-                Span span("derive", kernel.name());
-                return deriveCollectorResult(*mrcProfile, kernel,
+                Span span("derive", slice.name());
+                return deriveCollectorResult(*mrcProfile, slice,
                                              new_config);
             }
-            Span span("collect", kernel.name());
-            return collectInputsParallel(kernel, new_config);
+            std::shared_ptr<const KernelTrace> kernel = fullTrace();
+            Span span("collect", slice.name());
+            return collectInputsParallel(*kernel, new_config);
         });
     std::shared_ptr<const IntervalProfile> rep =
         repMemo.getOrCompute(repKey(new_config), [&] {
-            Span span("profile", kernel.name());
-            return buildIntervalProfile(kernel.warp(repWarp),
-                                        *new_inputs, new_config);
+            Span span("profile", slice.name());
+            return buildIntervalProfile(slice.warp(0), *new_inputs,
+                                        new_config);
         });
     return assemble(*rep, repWarp, *new_inputs, new_config, policy,
                     level, model_sfu);

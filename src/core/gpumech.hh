@@ -17,6 +17,7 @@
 #define GPUMECH_CORE_GPUMECH_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -106,10 +107,23 @@ GpuMechResult runGpuMech(const KernelTrace &kernel,
  * the cache simulation and the representative warp's interval
  * algorithm. Profiling reduces each warp to its Eq. 6 inputs; only
  * the representative's interval profile is ever built and kept.
+ *
+ * After selection nothing in Eqs. 7-23 reads another warp, so the
+ * profiler keeps a one-warp slice of the trace (the static program
+ * plus the representative warp) instead of the trace itself. Only a
+ * rerun-mode evaluateAt() at a new cache geometry walks every warp
+ * again, and it fetches the whole trace through a TraceSource.
  */
 class GpuMechProfiler
 {
   public:
+    /**
+     * Where a re-collection gets the whole trace the profiler was
+     * built from; it must return that trace bit for bit.
+     */
+    using TraceSource =
+        std::function<std::shared_ptr<const KernelTrace>()>;
+
     /**
      * Profile a kernel: run the input collector, reduce every warp to
      * its Eq. 6 inputs (buildAllFeatures), select the representative
@@ -126,6 +140,10 @@ class GpuMechProfiler
      *        (unless @p precollected is given) and every evaluateAt()
      *        geometry re-collection — is derived from the profile
      *        instead of re-running the functional cache simulation.
+     * @param refetch how evaluateAt() gets the whole trace to
+     *        re-collect at a new geometry in rerun mode. Null means
+     *        @p kernel itself, which must then outlive every such
+     *        call; with a source, @p kernel is read only here.
      */
     GpuMechProfiler(const KernelTrace &kernel,
                     const HardwareConfig &config,
@@ -134,7 +152,8 @@ class GpuMechProfiler
                     unsigned profile_threads = 1,
                     std::shared_ptr<const CollectorResult> precollected =
                         nullptr,
-                    std::shared_ptr<const MrcProfile> mrc = nullptr);
+                    std::shared_ptr<const MrcProfile> mrc = nullptr,
+                    TraceSource refetch = nullptr);
 
     /** Evaluate the multi-warp model at the profiling configuration. */
     GpuMechResult evaluate(SchedulingPolicy policy,
@@ -168,20 +187,28 @@ class GpuMechProfiler
     /** The representative warp's profile at the profiling config. */
     const IntervalProfile &repProfile() const { return *representative; }
 
+    /** The profiled kernel's name, warp count and instruction count. */
+    const std::string &kernelName() const { return slice.name(); }
+    std::uint32_t numWarps() const { return warps; }
+    std::uint64_t totalInsts() const { return insts; }
+
     /**
-     * Bytes this profiler holds itself once built: the capacity of its
-     * representative profile's intervals. The trace, the collector
-     * result and the MRC profile it points to are shared with their
-     * owners and not counted here.
+     * Bytes this profiler holds itself once built: its one-warp trace
+     * slice and the capacity of its representative profile's
+     * intervals. The collector result and the MRC profile it points
+     * to are shared with their owners and not counted here.
      */
     std::size_t memoryFootprint() const;
 
   private:
-    const KernelTrace &kernel;
     HardwareConfig config;
+    TraceSource fullTrace;
     std::shared_ptr<const MrcProfile> mrcProfile; //!< null = rerun mode
     std::shared_ptr<const CollectorResult> collected;
+    std::uint32_t warps = 0;
+    std::uint64_t insts = 0;
     std::uint32_t repWarp = 0;
+    KernelTrace slice; //!< static program + the representative warp
     std::shared_ptr<const IntervalProfile> representative;
 
     // evaluateAt memos, keyed by the configuration fields each stage

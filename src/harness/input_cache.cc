@@ -16,8 +16,9 @@ namespace
  * Cache observability, per key class. Lookups and misses are counted
  * separately (hits = lookups - misses); MemoCache never evicts on
  * capacity, so cache.evictions only counts entries dropped by an
- * explicit clear(). cache.trace.bytes is the flat-trace heap footprint
- * of freshly generated traces — what the cache is holding for reuse.
+ * explicit clear(). cache.trace.misses counts every trace generation,
+ * kept or dropped; cache.trace.bytes is the flat-trace heap footprint
+ * of the traces trace() keeps — what the cache is holding for reuse.
  */
 struct CacheMetrics
 {
@@ -40,6 +41,22 @@ cacheMetrics()
     return m;
 }
 
+std::string
+traceKeyOf(const Workload &workload, const HardwareConfig &config)
+{
+    return msg(workload.name, '|', config.traceKey());
+}
+
+/** One trace generation: a trace miss, kept or not. */
+KernelTrace
+generate(const Workload &workload, const HardwareConfig &config)
+{
+    cacheMetrics().traceMisses.add();
+    Span span("parse", workload.name);
+    evalCheckpoint(FaultSite::Parse);
+    return workload.generate(config);
+}
+
 } // namespace
 
 std::shared_ptr<const KernelTrace>
@@ -48,36 +65,51 @@ InputCache::trace(const Workload &workload,
 {
     evalCheckpoint(FaultSite::Cache);
     cacheMetrics().traceLookups.add();
-    return traces.getOrCompute(
-        msg(workload.name, '|', config.traceKey()), [&] {
-            cacheMetrics().traceMisses.add();
-            Span span("parse", workload.name);
-            evalCheckpoint(FaultSite::Parse);
-            KernelTrace kernel = workload.generate(config);
-            const std::size_t bytes = kernel.memoryFootprint();
-            cacheMetrics().traceBytes.add(bytes);
-            traceByteTotal += bytes;
-            return kernel;
-        });
+    return traces.getOrCompute(traceKeyOf(workload, config), [&] {
+        KernelTrace kernel = generate(workload, config);
+        const std::size_t bytes = kernel.memoryFootprint();
+        cacheMetrics().traceBytes.add(bytes);
+        traceByteTotal += bytes;
+        return kernel;
+    });
+}
+
+std::shared_ptr<const KernelTrace>
+InputCache::traceInHand(const Workload &workload,
+                        const HardwareConfig &config)
+{
+    if (traces.contains(traceKeyOf(workload, config)))
+        return trace(workload, config);
+    evalCheckpoint(FaultSite::Cache);
+    cacheMetrics().traceLookups.add();
+    ++droppedTraces;
+    return std::make_shared<const KernelTrace>(
+        generate(workload, config));
+}
+
+GpuMechProfiler::TraceSource
+InputCache::refetch(const Workload &workload,
+                    const HardwareConfig &config)
+{
+    return [this, workload, config] { return trace(workload, config); };
 }
 
 std::shared_ptr<const CollectorResult>
-InputCache::inputs(const Workload &workload,
-                   const HardwareConfig &config)
+InputCache::inputsFrom(const Workload &workload,
+                       const HardwareConfig &config,
+                       const KernelTrace &kernel)
 {
     evalCheckpoint(FaultSite::Cache);
     cacheMetrics().collectorLookups.add();
     return collected.getOrCompute(
         msg(workload.name, '|', config.collectorKey()), [&] {
             cacheMetrics().collectorMisses.add();
-            std::shared_ptr<const KernelTrace> kernel =
-                trace(workload, config);
             Span span("collect", workload.name);
-            return collectInputsParallel(*kernel, config);
+            return collectInputsParallel(kernel, config);
         });
 }
 
-ProfiledKernel
+std::shared_ptr<const GpuMechProfiler>
 InputCache::profiler(const Workload &workload,
                      const HardwareConfig &config,
                      RepSelection selection,
@@ -89,25 +121,32 @@ InputCache::profiler(const Workload &workload,
         msg(workload.name, '|', config.collectorKey(),
             "|ir=", config.issueRate, '|', toString(selection), '|',
             num_clusters);
-    auto entry = profilers.getOrCompute(key, [&] {
+    return *profilers.getOrCompute(key, [&] {
         cacheMetrics().profilerMisses.add();
-        ProfiledKernel pk;
-        pk.trace = trace(workload, config);
+        std::shared_ptr<const KernelTrace> kernel =
+            traceInHand(workload, config);
         std::shared_ptr<const CollectorResult> collected =
-            inputs(workload, config);
+            inputsFrom(workload, config, *kernel);
         Span span("profile", workload.name);
-        pk.profiler = std::make_shared<const GpuMechProfiler>(
-            *pk.trace, config, selection, num_clusters, 1,
-            std::move(collected));
-        profilerByteTotal += pk.profiler->memoryFootprint();
-        return pk;
+        auto profiler = std::make_shared<const GpuMechProfiler>(
+            *kernel, config, selection, num_clusters, 1,
+            std::move(collected), nullptr, refetch(workload, config));
+        profilerByteTotal += profiler->memoryFootprint();
+        return profiler;
     });
-    return *entry;
 }
 
 std::shared_ptr<const MrcProfile>
 InputCache::mrc(const Workload &workload, const HardwareConfig &config,
                 double sampling_rate)
+{
+    return mrcFrom(workload, config, sampling_rate, nullptr);
+}
+
+std::shared_ptr<const MrcProfile>
+InputCache::mrcFrom(const Workload &workload,
+                    const HardwareConfig &config, double sampling_rate,
+                    const KernelTrace *kernel)
 {
     evalCheckpoint(FaultSite::Cache);
     cacheMetrics().mrcLookups.add();
@@ -116,14 +155,17 @@ InputCache::mrc(const Workload &workload, const HardwareConfig &config,
             "|mrc=", sampling_rate),
         [&] {
             cacheMetrics().mrcMisses.add();
-            std::shared_ptr<const KernelTrace> kernel =
-                trace(workload, config);
+            std::shared_ptr<const KernelTrace> held;
+            if (kernel == nullptr) {
+                held = traceInHand(workload, config);
+                kernel = held.get();
+            }
             Span span("mrc", workload.name);
             return collectMrcProfile(*kernel, config, sampling_rate);
         });
 }
 
-ProfiledKernel
+std::shared_ptr<const GpuMechProfiler>
 InputCache::mrcProfiler(const Workload &workload,
                         const HardwareConfig &config,
                         double sampling_rate, RepSelection selection,
@@ -135,20 +177,19 @@ InputCache::mrcProfiler(const Workload &workload,
         msg(workload.name, '|', config.collectorKey(),
             "|ir=", config.issueRate, '|', toString(selection), '|',
             num_clusters, "|mrc=", sampling_rate);
-    auto entry = mrcProfilers.getOrCompute(key, [&] {
+    return *mrcProfilers.getOrCompute(key, [&] {
         cacheMetrics().profilerMisses.add();
-        ProfiledKernel pk;
-        pk.trace = trace(workload, config);
+        std::shared_ptr<const KernelTrace> kernel =
+            traceInHand(workload, config);
         std::shared_ptr<const MrcProfile> profile =
-            mrc(workload, config, sampling_rate);
+            mrcFrom(workload, config, sampling_rate, kernel.get());
         Span span("profile", workload.name);
-        pk.profiler = std::make_shared<const GpuMechProfiler>(
-            *pk.trace, config, selection, num_clusters, 1, nullptr,
-            std::move(profile));
-        profilerByteTotal += pk.profiler->memoryFootprint();
-        return pk;
+        auto profiler = std::make_shared<const GpuMechProfiler>(
+            *kernel, config, selection, num_clusters, 1, nullptr,
+            std::move(profile), refetch(workload, config));
+        profilerByteTotal += profiler->memoryFootprint();
+        return profiler;
     });
-    return *entry;
 }
 
 void
@@ -164,6 +205,7 @@ InputCache::clear()
     mrcProfilers.clear();
     traceByteTotal = 0;
     profilerByteTotal = 0;
+    droppedTraces = 0;
 }
 
 } // namespace gpumech

@@ -161,6 +161,31 @@ gmtError(StatusCode code, std::uint64_t offset, const std::string &why)
     return Status(code, msg("gmt offset ", offset, ": ", why));
 }
 
+/**
+ * A fixed-width, NUL-padded header field as printable text: trailing
+ * NULs dropped, any other byte outside printable ASCII (and the
+ * backslash) as \xHH, so two tokens that differ print differently.
+ */
+std::string
+escapedToken(const char *field, std::size_t width)
+{
+    while (width > 0 && field[width - 1] == '\0')
+        --width;
+    std::string out;
+    for (std::size_t i = 0; i < width; ++i) {
+        const auto byte = static_cast<unsigned char>(field[i]);
+        if (byte >= 0x20 && byte < 0x7f && byte != '\\') {
+            out.push_back(static_cast<char>(byte));
+            continue;
+        }
+        constexpr char hex[] = "0123456789abcdef";
+        out += "\\x";
+        out.push_back(hex[byte >> 4]);
+        out.push_back(hex[byte & 0xf]);
+    }
+    return out;
+}
+
 // ---- varint / zigzag codec ------------------------------------------
 
 void
@@ -381,12 +406,12 @@ class Decoder
                              std::strlen(traceLayoutToken)));
         if (std::memcmp(hdr.layout, expect_layout,
                         sizeof(expect_layout)) != 0) {
-            return gmtError(
-                StatusCode::VersionMismatch, 8,
-                msg("trace layout generation '",
-                    std::string(hdr.layout,
-                                strnlen(hdr.layout, sizeof(hdr.layout))),
-                    "' (this engine is '", traceLayoutToken, "')"));
+            return gmtError(StatusCode::VersionMismatch, 8,
+                            msg("trace layout generation '",
+                                escapedToken(hdr.layout,
+                                             sizeof(hdr.layout)),
+                                "' (this engine is '", traceLayoutToken,
+                                "')"));
         }
         if ((hdr.flags & ~gmtFlagVarintLines) != 0) {
             return gmtError(StatusCode::ParseError, 16,
@@ -544,6 +569,18 @@ class Decoder
     }
 
     /**
+     * Bytes of section @p e the image holds from the cursor on. A
+     * buffer of this size takes every step copyChecked() can take, so
+     * a table that claims more than the file allocates no more than
+     * the file before the copy fails with TruncatedInput.
+     */
+    std::uint64_t
+    held(const SectionEntry &e) const
+    {
+        return std::min<std::uint64_t>(e.size, size - pos);
+    }
+
+    /**
      * Varint-delta decode of the line pool, in place. The pool is
      * taken and checksummed in stepBytes steps; the next step is taken
      * before decoding a varint that starts within 10 bytes (the
@@ -552,8 +589,10 @@ class Decoder
     Status
     decodeVarintPool(std::vector<Addr> &pool, const SectionEntry &e)
     {
+        // Every varint takes at least one byte.
         pool.clear();
-        pool.reserve(static_cast<std::size_t>(e.count));
+        pool.reserve(
+            static_cast<std::size_t>(std::min(e.count, held(e))));
         const std::uint8_t *bytes = image + pos;
         std::uint64_t taken = 0; //!< pool bytes taken so far
         std::uint64_t at = 0;    //!< decode cursor
@@ -613,7 +652,9 @@ class Decoder
     Status
     copyColumn(std::vector<T> &out, const SectionEntry &e)
     {
-        out.resize(static_cast<std::size_t>(e.count));
+        // Equal to e.count once the image holds the section.
+        out.resize(static_cast<std::size_t>((held(e) + sizeof(T) - 1) /
+                                            sizeof(T)));
         return copyChecked(out.data(), e);
     }
 
@@ -631,7 +672,7 @@ class Decoder
             }
             switch (e.id) {
               case SecKernelName:
-                cols.name.resize(static_cast<std::size_t>(e.count));
+                cols.name.resize(static_cast<std::size_t>(held(e)));
                 GPUMECH_TRY(copyChecked(cols.name.data(), e));
                 break;
               case SecStaticOps:
@@ -639,7 +680,8 @@ class Decoder
                 GPUMECH_TRY(copyColumn(cols.staticOps, e));
                 break;
               case SecStaticLabels:
-                cols.labelBlob.resize(static_cast<std::size_t>(e.size));
+                cols.labelBlob.resize(
+                    static_cast<std::size_t>(held(e)));
                 GPUMECH_TRY(copyChecked(cols.labelBlob.data(), e));
                 break;
               case SecWarpIds:

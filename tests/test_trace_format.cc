@@ -227,9 +227,32 @@ TEST(GmtFormat, RejectsForeignVersion)
 
 TEST(GmtFormat, RejectsForeignLayoutToken)
 {
-    std::string bytes = gmtToString(sampleKernel());
-    bytes[8 + 3] = '9'; // "soa1" -> "soa9"
-    expectGmtFailure(bytes, StatusCode::VersionMismatch, "layout");
+    const std::string packed = gmtToString(sampleKernel());
+    std::string foreign = packed;
+    foreign[8 + 3] = '9'; // "soa1" -> "soa9"
+    // "soa1", a NUL, then a stray byte: equal up to the first NUL.
+    std::string stray = packed;
+    stray[8 + 5] = 'x';
+    for (const std::string &bytes : {foreign, stray}) {
+        expectGmtFailure(bytes, StatusCode::VersionMismatch, "layout");
+        // The message names the file's token and this engine's, and
+        // they must read differently.
+        const std::string why = parseGmtString(bytes).status().message();
+        std::vector<std::string> quoted;
+        for (std::size_t open = why.find('\'');
+             open != std::string::npos;) {
+            std::size_t close = why.find('\'', open + 1);
+            ASSERT_NE(close, std::string::npos) << why;
+            quoted.push_back(why.substr(open + 1, close - open - 1));
+            open = why.find('\'', close + 1);
+        }
+        ASSERT_EQ(quoted.size(), 2u) << why;
+        EXPECT_NE(quoted[0], quoted[1]) << why;
+    }
+    EXPECT_NE(parseGmtString(stray).status().message().find(
+                  "'soa1\\x00x'"),
+              std::string::npos)
+        << parseGmtString(stray).status().message();
 }
 
 TEST(GmtFormat, RejectsUnknownFlags)
@@ -326,6 +349,27 @@ TEST(GmtFormat, RejectsMalformedVarintPool)
                      "trailing bytes");
     expectGmtFailure(withPool(std::string(10, '\x80') + '\0' + pool),
                      StatusCode::Overflow, "exceeds 64 bits");
+}
+
+TEST(GmtFormat, RejectsCountsTheBytesCannotHold)
+{
+    // A resealed table that claims 2^31 pool addresses in a file of a
+    // few KB is truncated input; the decoder must not size the pool
+    // from the claim first (16 GiB).
+    constexpr std::uint64_t claimed = 1ull << 31;
+    for (bool varint : {false, true}) {
+        GmtWriteOptions options;
+        options.varintLines = varint;
+        std::string bytes = gmtToString(sampleKernel(), options);
+        const std::size_t at = entryOf(bytes, 11); // LinePool
+        poke<std::uint64_t>(bytes, at + 24, claimed);
+        if (!varint)
+            poke<std::uint64_t>(bytes, at + 16, claimed * sizeof(Addr));
+        resealTable(bytes);
+        expectGmtFailure(bytes, StatusCode::TruncatedInput,
+                         varint ? "inside a varint"
+                                : "unexpected end of input");
+    }
 }
 
 TEST(GmtFormat, RejectsDuplicateSection)

@@ -66,7 +66,8 @@ exhaustiveArgmin(EvalSession &session, const Workload &w,
                  const HardwareConfig &base, const TuneOptions &options,
                  std::vector<double> &best_coords, double &best_obj)
 {
-    ProfiledKernel pk = session.cache.mrcProfiler(w, base, 1.0);
+    std::shared_ptr<const GpuMechProfiler> profiler =
+        session.cache.mrcProfiler(w, base, 1.0);
     best_obj = std::numeric_limits<double>::infinity();
     for (double mshrs : options.dims[0].values) {
         for (double bw : options.dims[1].values) {
@@ -77,7 +78,7 @@ exhaustiveArgmin(EvalSession &session, const Workload &w,
                 config.l2SizeBytes =
                     static_cast<std::uint32_t>(l2) * 1024;
                 ASSERT_TRUE(config.validate().ok());
-                GpuMechResult r = pk.profiler->evaluateAt(
+                GpuMechResult r = profiler->evaluateAt(
                     config, SchedulingPolicy::RoundRobin,
                     ModelLevel::MT_MSHR_BAND, false);
                 double obj =
