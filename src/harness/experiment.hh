@@ -47,6 +47,17 @@ enum class SweepMode
 /** CLI name of a sweep mode ("rerun" / "mrc"). */
 std::string toString(SweepMode mode);
 
+/**
+ * Whether evaluating profilers of @p base at @p knob's @p values
+ * walks the whole trace again: in rerun mode, a value that moves
+ * collectorKey() but not traceKey() re-collects. A caller that
+ * profiles and then evaluates such values asks InputCache::trace()
+ * before the profile build, so the build reuses the trace and it is
+ * generated once.
+ */
+bool recollectsTrace(const Knob &knob, const HardwareConfig &base,
+                     const std::vector<double> &values, SweepMode mode);
+
 /** The evaluated models (Table II). */
 enum class ModelKind
 {
