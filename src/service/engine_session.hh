@@ -15,6 +15,11 @@
  * never a dead process. Thread-safe: concurrent handle() calls share
  * the compute-once cache; per-response cache counters are exact when a
  * request runs alone and attributionally approximate under overlap.
+ *
+ * Constructing the first engine sets glibc's malloc thresholds for the
+ * whole process, so the heap pages of a trace a request dropped are
+ * reused by the next request instead of returned to the kernel (see
+ * retainFreedHeap() in engine_session.cc).
  */
 
 #ifndef GPUMECH_SERVICE_ENGINE_SESSION_HH
