@@ -19,7 +19,8 @@
  *     selection + model evaluation — serial (the "before" engine shape)
  *     vs the intra-kernel parallel collection path at 2/4/8 threads,
  *     with every parallel result verified bit-identical before times
- *     are reported.
+ *     are reported; beside it, trace generation at 1 thread and at
+ *     the pool size (the default job count when the bench starts).
  *
  * Options: --reps N (timing repetitions, default 3; best-of is kept)
  *          --out FILE (JSON path, default BENCH_trace_layout.json)
@@ -194,6 +195,9 @@ main(int argc, char **argv)
     args.checkOptionNames({"out", "reps"}).orDie();
     unsigned reps = args.getUint("reps", 3);
     std::string out_path = args.get("out", "BENCH_trace_layout.json");
+    // The pipeline loop below sets its own job counts; read the pool
+    // size before it does.
+    const unsigned pool_jobs = defaultJobs();
 
     std::cout << "=== Flat-trace engine: layout + end-to-end bench ===\n";
     std::cout << "hardware threads: "
@@ -205,6 +209,7 @@ main(int argc, char **argv)
     json.field("hardware_threads",
                static_cast<std::uint64_t>(
                    std::thread::hardware_concurrency()));
+    json.field("pool_jobs", static_cast<std::uint64_t>(pool_jobs));
 
     HardwareConfig config = HardwareConfig::baseline();
     std::vector<Workload> suite = stressWorkloads();
@@ -287,16 +292,25 @@ main(int argc, char **argv)
               << fmtDouble(walk_speedup, 2) << "x faster than AoS\n\n";
 
     // ---- 3. end-to-end single-kernel pipeline ----------------------
-    Table e2e_table({"kernel", "gen ms", "serial ms", "t2 ms", "t4 ms",
-                     "t8 ms", "t8 speedup", "identical"});
+    const std::string gen_pool_label =
+        "gen j" + std::to_string(pool_jobs) + " ms";
+    Table e2e_table({"kernel", "gen j1 ms", gen_pool_label, "serial ms",
+                     "t2 ms", "t4 ms", "t8 ms", "t8 speedup",
+                     "identical"});
     json.beginObject("end_to_end");
-    double gen_sum = 0.0, serial_sum = 0.0, t8_sum = 0.0;
+    double gen_j1_sum = 0.0, gen_pool_sum = 0.0, serial_sum = 0.0,
+           t8_sum = 0.0;
     for (const Workload &w : suite) {
         volatile std::uint64_t gen_sink = 0;
-        double gen_ms = timeMs(reps, [&] {
-            KernelTrace k = w.generate(config);
-            gen_sink = gen_sink + k.totalInsts();
-        });
+        auto gen_ms_at = [&](unsigned jobs) {
+            setDefaultJobs(jobs);
+            return timeMs(reps, [&] {
+                KernelTrace k = w.generate(config);
+                gen_sink = gen_sink + k.totalInsts();
+            });
+        };
+        const double gen_j1_ms = gen_ms_at(1);
+        const double gen_pool_ms = gen_ms_at(pool_jobs);
         KernelTrace kernel = w.generate(config);
 
         setDefaultJobs(1);
@@ -316,25 +330,29 @@ main(int argc, char **argv)
         if (!identical)
             fatal(msg("parallel pipeline diverged on ", w.name));
 
-        e2e_table.addRow({w.name, fmtDouble(gen_ms, 2),
+        e2e_table.addRow({w.name, fmtDouble(gen_j1_ms, 2),
+                          fmtDouble(gen_pool_ms, 2),
                           fmtDouble(serial_ms, 2),
                           fmtDouble(ms_at[2], 2), fmtDouble(ms_at[4], 2),
                           fmtDouble(ms_at[8], 2),
                           fmtDouble(serial_ms / ms_at[8], 2), "yes"});
         json.beginObject(w.name);
-        json.field("gen_ms", gen_ms);
+        json.field("gen_j1_ms", gen_j1_ms);
+        json.field("gen_pool_ms", gen_pool_ms);
         json.field("serial_ms", serial_ms);
         json.field("t2_ms", ms_at[2]);
         json.field("t4_ms", ms_at[4]);
         json.field("t8_ms", ms_at[8]);
         json.field("t8_speedup", serial_ms / ms_at[8]);
         json.endObject();
-        gen_sum += gen_ms;
+        gen_j1_sum += gen_j1_ms;
+        gen_pool_sum += gen_pool_ms;
         serial_sum += serial_ms;
         t8_sum += ms_at[8];
     }
     double suite_speedup = serial_sum / t8_sum;
-    json.field("suite_gen_ms", gen_sum);
+    json.field("suite_gen_j1_ms", gen_j1_sum);
+    json.field("suite_gen_pool_ms", gen_pool_sum);
     json.field("suite_serial_ms", serial_sum);
     json.field("suite_t8_ms", t8_sum);
     json.field("suite_t8_speedup", suite_speedup);

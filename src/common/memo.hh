@@ -33,7 +33,9 @@ class MemoCache
     /**
      * Return the cached value for @p key, computing it via
      * @p compute() (returning Value by value) on first use. If
-     * compute throws, nothing is cached and the exception propagates.
+     * compute throws, the key's entry is dropped and the exception
+     * propagates: the next lookup of the key is a miss that computes
+     * again, and contains() is false until then.
      */
     template <typename Fn>
     std::shared_ptr<const Value>
@@ -52,10 +54,18 @@ class MemoCache
                 entries.emplace(key, entry);
             }
         }
-        std::call_once(entry->once, [&] {
-            entry->value =
-                std::make_shared<const Value>(compute());
-        });
+        try {
+            std::call_once(entry->once, [&] {
+                entry->value =
+                    std::make_shared<const Value>(compute());
+            });
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(mu);
+            auto it = entries.find(key);
+            if (it != entries.end() && it->second == entry)
+                entries.erase(it);
+            throw;
+        }
         return entry->value;
     }
 

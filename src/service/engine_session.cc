@@ -224,12 +224,17 @@ handleSweep(EvalSession &session, const Workload &w, const Request &req,
     // The oracle and a rerun-mode geometry change read the whole trace
     // after profiling, so the trace is fetched before each profile
     // build: the build reuses it and it is generated once.
-    if (req.oracle ||
-        recollectsTrace(*knob, base, req.sweepValues, req.sweepMode))
-        session.cache.trace(w, base);
-    std::shared_ptr<const GpuMechProfiler> base_profiler =
-        mrc ? session.cache.mrcProfiler(w, base, req.mrcRate)
-            : session.cache.profiler(w, base);
+    //
+    // A reshaping knob's rows read no base input; only the MRC header
+    // reads the base profiler then.
+    std::shared_ptr<const GpuMechProfiler> base_profiler;
+    if (!knob->reshapesTrace || mrc) {
+        if (req.oracle ||
+            recollectsTrace(*knob, base, req.sweepValues, req.sweepMode))
+            session.cache.trace(w, base);
+        base_profiler = mrc ? session.cache.mrcProfiler(w, base, req.mrcRate)
+                            : session.cache.profiler(w, base);
+    }
 
     std::vector<std::string> header{req.sweepParam, "model CPI",
                                     "model IPC"};

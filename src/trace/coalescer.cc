@@ -16,10 +16,23 @@ coalesce(const std::vector<Addr> &addrs, std::uint32_t line_bytes,
     out.clear();
     out.reserve(addrs.size());
     Addr mask = ~static_cast<Addr>(line_bytes - 1);
-    for (Addr a : addrs)
-        out.push_back(a & mask);
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
+    // Most warps touch their lines in ascending order: drop adjacent
+    // repeats as the lines are masked, and sort only when a line comes
+    // out of order.
+    bool ordered = true;
+    for (Addr a : addrs) {
+        const Addr line = a & mask;
+        if (!out.empty()) {
+            if (line == out.back())
+                continue;
+            ordered = ordered && line > out.back();
+        }
+        out.push_back(line);
+    }
+    if (!ordered) {
+        std::sort(out.begin(), out.end());
+        out.erase(std::unique(out.begin(), out.end()), out.end());
+    }
 }
 
 std::vector<Addr>

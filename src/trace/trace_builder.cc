@@ -11,10 +11,21 @@ namespace gpumech
 TraceBuilder::TraceBuilder(KernelTrace &kernel, std::uint32_t warp_id,
                            std::uint32_t block_id,
                            const HardwareConfig &config)
-    : kernel(kernel), config(config)
+    : kernel(kernel), sink(&kernel), config(config), trace(own)
 {
     trace.warpId = warp_id;
     trace.blockId = block_id;
+}
+
+TraceBuilder::TraceBuilder(const KernelTrace &kernel, WarpTrace &out,
+                           std::uint32_t warp_id, std::uint32_t block_id,
+                           const HardwareConfig &config)
+    : kernel(kernel), sink(nullptr), config(config), trace(out)
+{
+    trace.warpId = warp_id;
+    trace.blockId = block_id;
+    trace.insts.clear();
+    trace.linePool.clear();
 }
 
 void
@@ -174,7 +185,8 @@ TraceBuilder::finish()
     finished = true;
     if (trace.insts.empty())
         panic("finish() on an empty warp trace");
-    kernel.addWarp(trace);
+    if (sink)
+        sink->addWarp(trace);
 }
 
 } // namespace gpumech

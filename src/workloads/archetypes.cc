@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <vector>
 
+#include "common/isolation.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "trace/trace_builder.hh"
+#include "common/thread_pool.hh"
 #include "workloads/patterns.hh"
 
 namespace gpumech
@@ -44,16 +46,14 @@ computeOp(std::uint32_t i, double fp_fraction)
 }
 
 /**
- * Apply a workload-declared size hint: pre-size the kernel's flat SoA
- * arrays for every warp up front, and each builder as it starts.
+ * Warps per pool thread in one emission wave. The wave's buffers are
+ * the only trace memory beyond the kernel's own arrays, so this bounds
+ * them; fewer warps per wave pay more for the wave's barrier and tail.
  */
-void
-reserveKernel(KernelTrace &kernel, std::uint32_t num_warps,
-              const TraceSizeHint &hint)
-{
-    kernel.reserveTrace(num_warps, num_warps * hint.instsPerWarp,
-                        num_warps * hint.linesPerWarp);
-}
+constexpr std::uint32_t waveWarpsPerJob = 16;
+
+/** Kernels with fewer warps are emitted inline, without the pool. */
+constexpr std::uint32_t inlineWarps = 16;
 
 } // namespace
 
@@ -61,6 +61,51 @@ std::uint32_t
 totalWarps(const HardwareConfig &config)
 {
     return config.numCores * config.warpsPerCore;
+}
+
+void
+emitWarps(KernelTrace &kernel, const HardwareConfig &config,
+          std::uint32_t warps_per_block, const TraceSizeHint &hint,
+          const WarpBody &body)
+{
+    const std::uint32_t num_warps = totalWarps(config);
+    kernel.reserveTrace(num_warps, num_warps * hint.instsPerWarp,
+                        num_warps * hint.linesPerWarp);
+    // jobs 1 runs both the emission and the commit inline; jobs 0 is
+    // the shared pool at defaultJobs().
+    const unsigned jobs = num_warps < inlineWarps ? 1 : 0;
+    const std::uint32_t wave = std::min(
+        num_warps, waveWarpsPerJob * (jobs == 1 ? 1 : defaultJobs()));
+    // Slots are sized here, on the calling thread, so their memory
+    // comes from its heap rather than from each worker's.
+    std::vector<WarpTrace> slots(wave);
+    for (WarpTrace &slot : slots)
+        slot.reserve(hint.instsPerWarp, hint.linesPerWarp);
+    // Checkpoints read a thread-local frame; carry the caller's onto
+    // the pool workers so a body's checkpoints see it.
+    const EvalContext *caller = currentEvalContext();
+    for (std::uint32_t first = 0; first < num_warps; first += wave) {
+        deadlineCheckpoint();
+        const std::uint32_t count = std::min(wave, num_warps - first);
+        parallelFor(
+            count,
+            [&](std::size_t i) {
+                std::optional<ScopedEvalContext> scope;
+                if (caller)
+                    scope.emplace(caller->kernel, caller->token,
+                                  caller->plan);
+                thread_local WarpScratch scratch;
+                const std::uint32_t w =
+                    first + static_cast<std::uint32_t>(i);
+                TraceBuilder b(kernel, slots[i], w, w / warps_per_block,
+                               config);
+                b.reserve(hint.instsPerWarp, hint.linesPerWarp);
+                body(b, w, scratch);
+                b.finish();
+            },
+            1, jobs);
+        kernel.appendWarps(slots.data(), count, jobs);
+    }
 }
 
 TraceSizeHint
@@ -185,17 +230,13 @@ loopKernel(const std::string &name, const LoopKernelParams &params,
     std::uint32_t pc_branch = kernel.addStatic(Opcode::Branch, "loop");
 
     // ---- per-warp traces ----
-    std::uint32_t num_warps = totalWarps(config);
-    TraceSizeHint hint = sizeHint(params);
-    reserveKernel(kernel, num_warps, hint);
-    // Scratch reused across warps; the emission loop never allocates.
-    std::vector<Addr> addrs;
-    std::vector<Reg> loaded;
-    for (std::uint32_t w = 0; w < num_warps; ++w) {
+    auto warp = [&](TraceBuilder &b, std::uint32_t w,
+                    WarpScratch &scratch) {
+        // Scratch reused across warps; the emission loop never
+        // allocates.
+        std::vector<Addr> &addrs = scratch.addrs;
+        std::vector<Reg> &loaded = scratch.regs;
         Rng rng = warpRng(name, w);
-        std::uint32_t block = w / params.warpsPerBlock;
-        TraceBuilder b(kernel, w, block, config);
-        b.reserve(hint.instsPerWarp, hint.linesPerWarp);
 
         std::uint32_t iters = params.iterations;
         if (params.iterationVariance > 0.0) {
@@ -301,8 +342,9 @@ loopKernel(const std::string &name, const LoopKernelParams &params,
 
             b.compute(pc_branch, {});
         }
-        b.finish();
-    }
+    };
+    emitWarps(kernel, config, params.warpsPerBlock, sizeHint(params),
+              warp);
     return kernel;
 }
 
@@ -317,14 +359,10 @@ pointerChaseKernel(const std::string &name,
     for (std::uint32_t i = 0; i < params.computeBetween; ++i)
         pc_comp.push_back(kernel.addStatic(Opcode::IntAlu));
 
-    std::uint32_t num_warps = totalWarps(config);
-    TraceSizeHint hint = sizeHint(params);
-    reserveKernel(kernel, num_warps, hint);
-    std::vector<Addr> addrs;
-    for (std::uint32_t w = 0; w < num_warps; ++w) {
+    auto warp = [&](TraceBuilder &b, std::uint32_t w,
+                    WarpScratch &scratch) {
+        std::vector<Addr> &addrs = scratch.addrs;
         Rng rng = warpRng(name, w);
-        TraceBuilder b(kernel, w, w / params.warpsPerBlock, config);
-        b.reserve(hint.instsPerWarp, hint.linesPerWarp);
 
         Reg ptr = regNone;
         for (std::uint32_t hop = 0; hop < params.chainLength; ++hop) {
@@ -336,8 +374,9 @@ pointerChaseKernel(const std::string &name,
             for (std::uint32_t i = 0; i < params.computeBetween; ++i)
                 ptr = b.compute(pc_comp[i], {ptr});
         }
-        b.finish();
-    }
+    };
+    emitWarps(kernel, config, params.warpsPerBlock, sizeHint(params),
+              warp);
     return kernel;
 }
 
@@ -355,13 +394,9 @@ reductionKernel(const std::string &name, const ReductionParams &params,
     std::uint32_t pc_fin_add = kernel.addStatic(Opcode::FpAlu);
     std::uint32_t pc_st = kernel.addStatic(Opcode::GlobalStore);
 
-    std::uint32_t num_warps = totalWarps(config);
-    TraceSizeHint hint = sizeHint(params);
-    reserveKernel(kernel, num_warps, hint);
-    std::vector<Addr> addrs;
-    for (std::uint32_t w = 0; w < num_warps; ++w) {
-        TraceBuilder b(kernel, w, w / params.warpsPerBlock, config);
-        b.reserve(hint.instsPerWarp, hint.linesPerWarp);
+    auto warp = [&](TraceBuilder &b, std::uint32_t w,
+                    WarpScratch &scratch) {
+        std::vector<Addr> &addrs = scratch.addrs;
         Addr cursor = streamBase + static_cast<Addr>(w) * warpSlice;
 
         // Phase 1: accumulate coalesced elements.
@@ -400,8 +435,9 @@ reductionKernel(const std::string &name, const ReductionParams &params,
         coalescedPattern(outBase + static_cast<Addr>(w) * 128, 1, 4,
                          addrs);
         b.globalStore(pc_st, addrs, {acc});
-        b.finish();
-    }
+    };
+    emitWarps(kernel, config, params.warpsPerBlock, sizeHint(params),
+              warp);
     return kernel;
 }
 
@@ -419,16 +455,12 @@ tiledMatmulKernel(const std::string &name,
     std::uint32_t pc_idx = kernel.addStatic(Opcode::IntAlu, "idx");
     std::uint32_t pc_st = kernel.addStatic(Opcode::GlobalStore, "out");
 
-    std::uint32_t num_warps = totalWarps(config);
-    TraceSizeHint hint = sizeHint(params);
-    reserveKernel(kernel, num_warps, hint);
     // Tiles live in a region sized to enjoy L2 (but not L1) reuse.
     constexpr std::uint64_t matrix_bytes = 8ULL << 20;
-    std::vector<Addr> addrs;
-    for (std::uint32_t w = 0; w < num_warps; ++w) {
+    auto warp = [&](TraceBuilder &b, std::uint32_t w,
+                    WarpScratch &scratch) {
+        std::vector<Addr> &addrs = scratch.addrs;
         Rng rng = warpRng(name, w);
-        TraceBuilder b(kernel, w, w / params.warpsPerBlock, config);
-        b.reserve(hint.instsPerWarp, hint.linesPerWarp);
 
         Reg acc = regNone;
         for (std::uint32_t t = 0; t < params.tiles; ++t) {
@@ -456,8 +488,9 @@ tiledMatmulKernel(const std::string &name,
         coalescedPattern(outBase + static_cast<Addr>(w) * 128,
                          config.warpSize, 4, addrs);
         b.globalStore(pc_st, addrs, {acc});
-        b.finish();
-    }
+    };
+    emitWarps(kernel, config, params.warpsPerBlock, sizeHint(params),
+              warp);
     return kernel;
 }
 
@@ -473,13 +506,9 @@ transposeKernel(const std::string &name, const TransposeParams &params,
     std::uint32_t pc_sld = kernel.addStatic(Opcode::SharedLoad);
     std::uint32_t pc_st = kernel.addStatic(Opcode::GlobalStore, "col");
 
-    std::uint32_t num_warps = totalWarps(config);
-    TraceSizeHint hint = sizeHint(params, config);
-    reserveKernel(kernel, num_warps, hint);
-    std::vector<Addr> addrs;
-    for (std::uint32_t w = 0; w < num_warps; ++w) {
-        TraceBuilder b(kernel, w, w / params.warpsPerBlock, config);
-        b.reserve(hint.instsPerWarp, hint.linesPerWarp);
+    auto warp = [&](TraceBuilder &b, std::uint32_t w,
+                    WarpScratch &scratch) {
+        std::vector<Addr> &addrs = scratch.addrs;
         Addr in_cursor = streamBase + static_cast<Addr>(w) * warpSlice;
         Addr out_cursor = outBase + static_cast<Addr>(w) * warpSlice;
 
@@ -505,8 +534,9 @@ transposeKernel(const std::string &name, const TransposeParams &params,
                               config.l1LineBytes;
             }
         }
-        b.finish();
-    }
+    };
+    emitWarps(kernel, config, params.warpsPerBlock,
+              sizeHint(params, config), warp);
     return kernel;
 }
 
@@ -523,15 +553,10 @@ histogramKernel(const std::string &name, const HistogramParams &params,
     std::uint32_t pc_bin_st = kernel.addStatic(Opcode::GlobalStore,
                                                "bin");
 
-    std::uint32_t num_warps = totalWarps(config);
-    TraceSizeHint hint = sizeHint(params);
-    reserveKernel(kernel, num_warps, hint);
-    std::vector<Addr> addrs;
-    std::vector<Addr> bins;
-    for (std::uint32_t w = 0; w < num_warps; ++w) {
+    auto warp = [&](TraceBuilder &b, std::uint32_t w,
+                    WarpScratch &scratch) {
+        std::vector<Addr> &addrs = scratch.addrs;
         Rng rng = warpRng(name, w);
-        TraceBuilder b(kernel, w, w / params.warpsPerBlock, config);
-        b.reserve(hint.instsPerWarp, hint.linesPerWarp);
         Addr cursor = streamBase + static_cast<Addr>(w) * warpSlice;
 
         for (std::uint32_t it = 0; it < params.iterations; ++it) {
@@ -543,14 +568,15 @@ histogramKernel(const std::string &name, const HistogramParams &params,
             for (std::uint32_t u = 0; u < params.updatesPerIter; ++u) {
                 randomDivergentPattern(rng, binsBase, params.binBytes,
                                        config.warpSize, params.degree,
-                                       config.l1LineBytes, bins);
-                Reg old = b.globalLoad(pc_bin_ld, bins, {h});
+                                       config.l1LineBytes, addrs);
+                Reg old = b.globalLoad(pc_bin_ld, addrs, {h});
                 Reg inc = b.compute(pc_inc, {old});
-                b.globalStore(pc_bin_st, bins, {inc});
+                b.globalStore(pc_bin_st, addrs, {inc});
             }
         }
-        b.finish();
-    }
+    };
+    emitWarps(kernel, config, params.warpsPerBlock, sizeHint(params),
+              warp);
     return kernel;
 }
 

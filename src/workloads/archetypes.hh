@@ -17,10 +17,13 @@
 #define GPUMECH_WORKLOADS_ARCHETYPES_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "common/config.hh"
 #include "trace/kernel_trace.hh"
+#include "trace/trace_builder.hh"
 
 namespace gpumech
 {
@@ -37,6 +40,37 @@ struct TraceSizeHint
     std::uint64_t instsPerWarp = 0;
     std::uint64_t linesPerWarp = 0;
 };
+
+/** Scratch a warp body reuses across the warps one thread emits. */
+struct WarpScratch
+{
+    std::vector<Addr> addrs; //!< per-thread addresses of one access
+    std::vector<Reg> regs;   //!< registers held across one iteration
+};
+
+/**
+ * Emits one warp's dynamic trace through @p b. A body reads only its
+ * warp index and shared read-only state (the per-warp RNG stream is
+ * seeded from the kernel name and the index), so warps can be emitted
+ * in any order and on any thread.
+ */
+using WarpBody = std::function<void(TraceBuilder &b, std::uint32_t warp,
+                                    WarpScratch &scratch)>;
+
+/**
+ * Emit every warp of @p kernel, whose static program is registered:
+ * totalWarps(config) warps, warp w in block w / @p warps_per_block.
+ * The flat storage is reserved once from @p hint. Warps are emitted in
+ * bounded waves on the shared pool (inline for a handful of warps),
+ * each into a reused per-slot buffer, and each wave is committed in
+ * warp order with KernelTrace::appendWarps. The trace is bit-identical
+ * to emitting the warps one after another, at any job count. The
+ * deadline is checked once per wave, and pool workers run the body
+ * under the caller's evaluation context.
+ */
+void emitWarps(KernelTrace &kernel, const HardwareConfig &config,
+               std::uint32_t warps_per_block, const TraceSizeHint &hint,
+               const WarpBody &body);
 
 /** Parameters of the general streaming-loop archetype. */
 struct LoopKernelParams

@@ -85,16 +85,12 @@ phasedKernel(const std::string &name,
              std::uint64_t{phase.storesPerIter} * phase.storeDivergence);
     }
 
-    std::uint32_t num_warps = totalWarps(config);
-    kernel.reserveTrace(num_warps, num_warps * hint.instsPerWarp,
-                        num_warps * hint.linesPerWarp);
-    // Scratch buffers reused across every warp and iteration keep the
-    // emission loop allocation-free in steady state.
-    std::vector<Addr> addrs;
-    std::vector<Reg> loaded;
-    for (std::uint32_t w = 0; w < num_warps; ++w) {
-        TraceBuilder b(kernel, w, w / 4, config);
-        b.reserve(hint.instsPerWarp, hint.linesPerWarp);
+    auto warp = [&](TraceBuilder &b, std::uint32_t w,
+                    WarpScratch &scratch) {
+        // Scratch buffers reused across every warp and iteration keep
+        // the emission loop allocation-free in steady state.
+        std::vector<Addr> &addrs = scratch.addrs;
+        std::vector<Reg> &loaded = scratch.regs;
         Addr in_cursor = stream_base + static_cast<Addr>(w) * slice;
         Addr out_cursor = out_base + static_cast<Addr>(w) * slice;
 
@@ -137,8 +133,8 @@ phasedKernel(const std::string &name,
                 }
             }
         }
-        b.finish();
-    }
+    };
+    emitWarps(kernel, config, 4, hint, warp);
     return kernel;
 }
 

@@ -1,16 +1,19 @@
 /**
  * @file
  * Unit tests for the common library: statistics helpers, RNG
- * determinism, table rendering, and the hardware configuration.
+ * determinism, table rendering, the hardware configuration, and the
+ * memo cache.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/config.hh"
 #include "common/logging.hh"
+#include "common/memo.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -168,6 +171,30 @@ TEST(Config, SummaryMentionsKeyParameters)
     std::string s = HardwareConfig::baseline().summary();
     EXPECT_NE(s.find("16 cores"), std::string::npos);
     EXPECT_NE(s.find("192"), std::string::npos);
+}
+
+TEST(MemoCache, ComputeThatThrowsLeavesNoEntry)
+{
+    MemoCache<int> cache;
+    EXPECT_THROW(cache.getOrCompute(
+                     "k", []() -> int { throw std::runtime_error("x"); }),
+                 std::runtime_error);
+    EXPECT_FALSE(cache.contains("k"));
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.misses(), 1u);
+
+    // The retry is a second miss that computes; the hit comes after.
+    int computes = 0;
+    auto compute = [&computes] { return ++computes * 7; };
+    EXPECT_EQ(*cache.getOrCompute("k", compute), 7);
+    EXPECT_EQ(computes, 1);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_TRUE(cache.contains("k"));
+    EXPECT_EQ(*cache.getOrCompute("k", compute), 7);
+    EXPECT_EQ(computes, 1);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 2u);
 }
 
 } // namespace

@@ -691,11 +691,15 @@ TEST(EngineSession, EachRequestGeneratesItsTraceOnce)
     // oracle, a rerun-mode geometry change) fetches it once before the
     // profile build, so no request generates a trace twice. Its trace
     // hits are the profile build's and one per later read: each
-    // re-collection at a new geometry, each oracle row.
+    // re-collection at a new geometry, each oracle row. A sweep of a
+    // knob that reshapes the trace builds one trace and one profiler
+    // per row, and none at the base configuration.
     struct Case
     {
         std::vector<std::string> tokens;
         std::size_t traceHits;
+        std::size_t traceMisses = 1;
+        std::size_t profilerMisses = 1;
     };
     for (Case c : std::vector<Case>{
              {{"model", "micro_stream"}, 0},
@@ -705,7 +709,11 @@ TEST(EngineSession, EachRequestGeneratesItsTraceOnce)
              {{"sweep", "micro_stream", "--param", "bw", "--values",
                "96,384", "--oracle"},
               3},
-             {{"tune", "micro_stream"}, 0},
+             {{"sweep", "micro_stream", "--param", "warps", "--values",
+               "8,16"},
+              0, 2, 2},
+             // MRC mode: the profiler is an MRC-cache entry.
+             {{"tune", "micro_stream"}, 0, 1, 0},
              {{"tune", "micro_stream", "--sweep-mode", "rerun", "--dims",
                "l1-kb"},
               4}}) {
@@ -714,9 +722,11 @@ TEST(EngineSession, EachRequestGeneratesItsTraceOnce)
         Response resp = engine.handle(mustParseArgs(c.tokens));
         ASSERT_TRUE(resp.ok()) << c.tokens[0] << ": "
                                << resp.status.toString();
-        EXPECT_EQ(resp.stats.traceMisses, 1u)
+        EXPECT_EQ(resp.stats.traceMisses, c.traceMisses)
             << c.tokens[0] << " " << c.tokens[2];
         EXPECT_EQ(resp.stats.traceHits, c.traceHits)
+            << c.tokens[0] << " " << c.tokens[2];
+        EXPECT_EQ(resp.stats.profilerMisses, c.profilerMisses)
             << c.tokens[0] << " " << c.tokens[2];
     }
 }

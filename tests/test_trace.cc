@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hh"
 #include "trace/coalescer.hh"
 #include "trace/kernel_trace.hh"
 #include "trace/trace_builder.hh"
@@ -92,6 +95,45 @@ TEST(Coalescer, ReturnsSortedUniqueLineAddresses)
     EXPECT_EQ(lines[0], 0x100u);
     EXPECT_EQ(lines[1], 0x180u);
     EXPECT_EQ(lines[2], 0x300u);
+}
+
+TEST(Coalescer, MatchesSortUniqueOnAnyOrder)
+{
+    // The ordered fast path must equal masking, sorting and dropping
+    // repeats, whatever the order the threads' lines come in.
+    auto reference = [](std::vector<Addr> addrs, std::uint32_t line) {
+        for (Addr &a : addrs)
+            a &= ~static_cast<Addr>(line - 1);
+        std::sort(addrs.begin(), addrs.end());
+        addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
+        return addrs;
+    };
+    std::vector<std::vector<Addr>> inputs;
+    std::vector<Addr> sorted, duplicated;
+    for (Addr t = 0; t < 32; ++t) {
+        sorted.push_back(0x4000 + t * 200);
+        duplicated.push_back(0x4000 + (t / 4) * 128 + t % 4);
+    }
+    inputs.push_back(sorted);
+    inputs.push_back({sorted.rbegin(), sorted.rend()});
+    inputs.push_back(duplicated);
+    inputs.push_back({duplicated.rbegin(), duplicated.rend()});
+    inputs.push_back({0x80, 0x80, 0x0, 0x80});
+    inputs.push_back({0x1000});
+    Rng rng(7);
+    for (int i = 0; i < 200; ++i) {
+        std::vector<Addr> random(rng.nextRange(1, 32));
+        for (Addr &a : random)
+            a = rng.nextBelow(i % 2 ? 4096 : 1 << 20);
+        inputs.push_back(random);
+    }
+    std::vector<Addr> out;
+    for (std::uint32_t line : {32u, 128u}) {
+        for (const std::vector<Addr> &addrs : inputs) {
+            coalesce(addrs, line, out);
+            EXPECT_EQ(out, reference(addrs, line));
+        }
+    }
 }
 
 TEST(TraceBuilder, ResolvesRegisterDependencies)
