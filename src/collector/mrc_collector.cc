@@ -1,7 +1,9 @@
 #include "collector/mrc_collector.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <optional>
 
@@ -16,88 +18,310 @@ namespace gpumech
 namespace
 {
 
+/** Load lines per walk chunk below which a chunk is not worth a task. */
+constexpr std::uint64_t kMinChunkLines = 16384;
+
 /**
- * The serial collector's walk over @p warps: per-warp cursors over
- * global-memory instructions, warps visited round-robin in the given
- * order, calling visit(flat index, warp) for every memory instruction.
- * A store takes its warp's turn in the round like a load, even though
- * it touches no tracker: skipping it would reorder the loads of a
- * core whose warps place stores at different positions.
+ * Distinct lines per previous-occurrence part: a part's table (16 B a
+ * slot, at most 3/4 full) then stays within a core's L2.
  */
-template <typename Visit>
+constexpr std::uint64_t kPartLines = 65536;
+
+/** No previous occurrence (a cold access). */
+constexpr std::uint32_t kNoPrev = std::numeric_limits<std::uint32_t>::max();
+
+/** One load instruction of the merged walk. */
+struct LoadRef
+{
+    LineSpan lines;     //!< its line requests
+    std::uint32_t core; //!< core of its warp
+    std::uint32_t pc;   //!< dense index among the global-memory PCs
+};
+
+/**
+ * parallelFor on the shared pool whose tasks run under the caller's
+ * EvalContext: checkpoints read a thread-local frame, so without it
+ * the workers' deadline checks would be dead.
+ */
+template <typename Body>
 void
-walkRounds(const KernelTrace &kernel,
-           const std::vector<std::uint32_t> &warps, Visit &&visit)
+poolFor(std::size_t n, Body &&body)
 {
-    const std::vector<Opcode> &ops = kernel.instOps();
-    struct Cursor
-    {
-        std::uint64_t idx;
-        std::uint64_t end;
-        std::uint32_t warp;
-    };
-    std::vector<Cursor> cursors;
-    cursors.reserve(warps.size());
-    for (std::uint32_t w : warps) {
-        std::uint64_t off = kernel.instOffsetOf(w);
-        cursors.push_back(Cursor{off, off + kernel.warp(w).numInsts(), w});
-    }
-
-    bool progress = true;
-    while (progress) {
-        deadlineCheckpoint();
-        progress = false;
-        for (auto &cur : cursors) {
-            while (cur.idx < cur.end && !isGlobalMemory(ops[cur.idx]))
-                ++cur.idx;
-            if (cur.idx >= cur.end)
-                continue;
-            progress = true;
-            visit(cur.idx++, cur.warp);
-        }
-    }
-}
-
-/**
- * Phase A of the profile walk: each core's L1 stream through its own
- * tracker, cores in parallel. Returns, per core, the d1 (scaled back
- * to the full stream) of every sampled load line in that core's walk
- * order — which is the order the merged walk meets them in, because
- * the merged walk restricted to one core's warps is exactly this walk.
- */
-std::vector<std::vector<std::uint32_t>>
-perCoreDistances(const KernelTrace &kernel, const HardwareConfig &config,
-                 const ShardsSampler &sampler)
-{
-    const std::vector<Opcode> &ops = kernel.instOps();
-    std::vector<std::vector<std::uint32_t>> d1s(config.numCores);
-    // Checkpoints read a thread-local frame; carry the caller's onto
-    // the pool workers so their per-round deadline checks are live.
     const EvalContext *caller = currentEvalContext();
     parallelFor(
-        config.numCores,
-        [&](std::size_t c) {
+        n,
+        [&](std::size_t i) {
             std::optional<ScopedEvalContext> scope;
             if (caller)
                 scope.emplace(caller->kernel, caller->token,
                               caller->plan);
-            const std::vector<std::uint32_t> warps = kernel.warpsOnCore(
-                static_cast<std::uint32_t>(c), config);
-            std::vector<std::uint32_t> &out = d1s[c];
-            ReuseDistanceTracker tracker;
-            walkRounds(kernel, warps,
-                       [&](std::uint64_t f, std::uint32_t) {
-                           if (ops[f] != Opcode::GlobalLoad)
-                               return;
-                           for (Addr line : kernel.linesOfFlat(f)) {
-                               if (sampler.sampled(line))
-                                   out.push_back(sampler.unscale(
-                                       tracker.access(line)));
-                           }
-                       });
+            body(i);
         },
         1, 0);
-    return d1s;
+}
+
+/** Sampled load lines and load executions with one, of one PC. */
+struct SampledCount
+{
+    std::uint64_t reqs = 0;
+    std::uint64_t insts = 0;
+};
+
+/** Partition of a line among @p parts (independent of FlatTable's
+ *  slot hash, so a part's lines still spread over its table). */
+std::size_t
+partOf(Addr line, std::size_t parts)
+{
+    const std::uint64_t h = (line ^ (line >> 31)) * 0xbf58476d1ce4e5b9ULL;
+    return static_cast<std::size_t>(((h >> 32) * parts) >> 32);
+}
+
+/**
+ * The weight of a key seen @p count times: count sequential additions
+ * of @p weight from zero, as one accumulator summing every observation
+ * in turn would hold. An integral weight sums exactly, so it is
+ * multiplied instead.
+ */
+double
+sumWeight(std::uint64_t count, double weight)
+{
+    if (weight == std::floor(weight) &&
+        static_cast<double>(count) * weight < 0x1p53)
+        return static_cast<double>(count) * weight;
+    double sum = 0.0;
+    for (std::uint64_t i = 0; i < count; ++i)
+        sum += weight;
+    return sum;
+}
+
+/**
+ * Sort keys in place: an MSD radix sort on bytes (American flag sort)
+ * that starts each range at the highest bit its keys differ in, so
+ * the leading bytes that small distances leave zero cost one pass.
+ * About twice std::sort's speed on reuse-pair keys.
+ */
+void
+sortKeys(std::uint64_t *keys, std::size_t n)
+{
+    if (n < 64) {
+        std::sort(keys, keys + n);
+        return;
+    }
+    std::uint64_t diff = 0;
+    for (std::size_t i = 1; i < n; ++i)
+        diff |= keys[i] ^ keys[0];
+    if (diff == 0)
+        return;
+    const int shift = (63 - std::countl_zero(diff)) & ~7;
+    auto digit = [shift](std::uint64_t key) {
+        return static_cast<std::size_t>((key >> shift) & 255);
+    };
+    std::size_t next[256] = {}, end[256];
+    for (std::size_t i = 0; i < n; ++i)
+        ++next[digit(keys[i])];
+    std::size_t at = 0;
+    for (std::size_t b = 0; b < 256; ++b) {
+        const std::size_t count = next[b];
+        next[b] = at;
+        at += count;
+        end[b] = at;
+    }
+    // Cycle each misplaced key to its bucket's next free slot.
+    for (std::size_t b = 0; b < 256; ++b) {
+        while (next[b] < end[b]) {
+            std::uint64_t key = keys[next[b]];
+            for (std::size_t d = digit(key); d != b; d = digit(key))
+                std::swap(key, keys[next[d]++]);
+            keys[next[b]++] = key;
+        }
+    }
+    for (std::size_t b = 0, begin = 0; b < 256; begin = end[b++])
+        sortKeys(keys + begin, end[b] - begin);
+}
+
+/**
+ * Visit the distinct keys of sorted runs in ascending order, calling
+ * visit(key, count) with each key's count over all runs. Run r is
+ * keys[bounds[r], bounds[r + 1]).
+ */
+template <typename Visit>
+void
+mergeRuns(const std::uint64_t *keys,
+          const std::vector<std::uint64_t> &bounds, Visit &&visit)
+{
+    std::vector<std::uint64_t> head(bounds.begin(), bounds.end() - 1);
+    for (;;) {
+        bool any = false;
+        std::uint64_t key = 0;
+        for (std::size_t r = 0; r < head.size(); ++r) {
+            if (head[r] < bounds[r + 1] && (!any || keys[head[r]] < key)) {
+                key = keys[head[r]];
+                any = true;
+            }
+        }
+        if (!any)
+            return;
+        std::uint64_t count = 0;
+        for (std::size_t r = 0; r < head.size(); ++r) {
+            while (head[r] < bounds[r + 1] && keys[head[r]] == key) {
+                ++head[r];
+                ++count;
+            }
+        }
+        visit(key, count);
+    }
+}
+
+/**
+ * The merged walk, as a list of its load instructions. The serial
+ * collector's walk visits warps round-robin: round r holds every
+ * warp's r-th global-memory instruction, in warp order. A store takes
+ * its warp's turn in the round like a load, even though it touches no
+ * tracker: skipping it would reorder the loads of a core whose warps
+ * place stores at different positions. Warp groups count their loads
+ * per round, and add the exact per-PC counts into @p profile, then
+ * write their loads at the prefix-summed offsets.
+ */
+std::vector<LoadRef>
+mergedLoads(const KernelTrace &kernel, const HardwareConfig &config,
+            const std::vector<std::uint32_t> &mem_index, std::size_t jobs,
+            MrcProfile &profile)
+{
+    const std::vector<Opcode> &ops = kernel.instOps();
+    const std::vector<std::uint32_t> &pcs = kernel.instPcs();
+    const std::uint32_t num_static = kernel.numStaticInsts();
+    const std::uint32_t num_warps = kernel.numWarps();
+    const std::size_t groups =
+        std::max<std::size_t>(1, std::min<std::size_t>(jobs, num_warps));
+    std::vector<std::vector<std::uint64_t>> round_loads(groups);
+    std::vector<MrcPcProfile> group_pcs(groups * num_static);
+    auto groupWarps = [&](std::size_t g) {
+        return std::pair<std::uint32_t, std::uint32_t>(
+            static_cast<std::uint32_t>(g * num_warps / groups),
+            static_cast<std::uint32_t>((g + 1) * num_warps / groups));
+    };
+    poolFor(groups, [&](std::size_t g) {
+        MrcPcProfile *counts = &group_pcs[g * num_static];
+        std::vector<std::uint64_t> &loads_in = round_loads[g];
+        const auto [first, last] = groupWarps(g);
+        for (std::uint32_t w = first; w < last; ++w) {
+            deadlineCheckpoint();
+            const std::uint64_t off = kernel.instOffsetOf(w);
+            const std::uint64_t end = off + kernel.warp(w).numInsts();
+            std::size_t round = 0;
+            for (std::uint64_t f = off; f < end; ++f) {
+                MrcPcProfile &pc = counts[pcs[f]];
+                ++pc.instCount;
+                if (!isGlobalMemory(ops[f]))
+                    continue;
+                const std::uint64_t lines = kernel.linesOfFlat(f).size();
+                if (ops[f] == Opcode::GlobalLoad) {
+                    ++pc.loadInsts;
+                    pc.loadReqs += lines;
+                    if (round >= loads_in.size())
+                        loads_in.resize(round + 1, 0);
+                    ++loads_in[round];
+                } else {
+                    ++pc.storeInsts;
+                    pc.storeReqs += lines;
+                }
+                ++round;
+            }
+        }
+    });
+    for (std::size_t g = 0; g < groups; ++g) {
+        for (std::uint32_t p = 0; p < num_static; ++p) {
+            const MrcPcProfile &from = group_pcs[g * num_static + p];
+            MrcPcProfile &to = profile.pcs[p];
+            to.instCount += from.instCount;
+            to.loadInsts += from.loadInsts;
+            to.loadReqs += from.loadReqs;
+            to.storeInsts += from.storeInsts;
+            to.storeReqs += from.storeReqs;
+            profile.totalLoadLines += from.loadReqs;
+        }
+    }
+    group_pcs = {};
+    std::size_t rounds = 0;
+    for (const auto &loads_in : round_loads)
+        rounds = std::max(rounds, loads_in.size());
+    std::uint64_t total = 0;
+    for (std::size_t r = 0; r < rounds; ++r) {
+        for (auto &loads_in : round_loads) {
+            if (r < loads_in.size()) {
+                const std::uint64_t n = loads_in[r];
+                loads_in[r] = total;
+                total += n;
+            }
+        }
+    }
+    std::vector<LoadRef> loads(total);
+    poolFor(groups, [&](std::size_t g) {
+        std::vector<std::uint64_t> &next = round_loads[g];
+        const auto [first, last] = groupWarps(g);
+        for (std::uint32_t w = first; w < last; ++w) {
+            deadlineCheckpoint();
+            const std::uint32_t core = kernel.coreOfWarp(w, config);
+            const std::uint64_t off = kernel.instOffsetOf(w);
+            const std::uint64_t end = off + kernel.warp(w).numInsts();
+            std::size_t round = 0;
+            for (std::uint64_t f = off; f < end; ++f) {
+                if (!isGlobalMemory(ops[f]))
+                    continue;
+                if (ops[f] == Opcode::GlobalLoad)
+                    loads[next[round]++] = LoadRef{
+                        kernel.linesOfFlat(f), core, mem_index[pcs[f]]};
+                ++round;
+            }
+        }
+    });
+    return loads;
+}
+
+/**
+ * Previous occurrences: element i is the merged position of the last
+ * access before position i to the same line, kNoPrev if none. Lines
+ * are split into parts by hash; a pool task walks the whole merged
+ * stream per part, keeping a table of its part's lines. @p
+ * distinct_lines (the summed per-core distinct lines) bounds the
+ * merged stream's, so a part fits a table sized from it. Each pool
+ * lane reuses one table, sized here, for its parts in turn.
+ */
+std::vector<std::uint32_t>
+previousOccurrences(const std::vector<LoadRef> &loads,
+                    const ShardsSampler &sampler, std::uint64_t sampled,
+                    std::uint64_t distinct_lines, std::size_t jobs,
+                    std::size_t check_mask)
+{
+    std::vector<std::uint32_t> prev(sampled);
+    const std::size_t parts = std::max<std::size_t>(
+        jobs, (distinct_lines + kPartLines - 1) / kPartLines);
+    const std::uint64_t part_lines = distinct_lines / parts + 1;
+    std::vector<mrc_detail::FlatTable<std::uint32_t>> tables(jobs);
+    for (auto &table : tables)
+        table.reserve(part_lines + part_lines / 8);
+    poolFor(jobs, [&](std::size_t lane) {
+        mrc_detail::FlatTable<std::uint32_t> &last = tables[lane];
+        for (std::size_t part = lane; part < parts; part += jobs) {
+            last.clear();
+            std::uint32_t pos = 0;
+            for (std::uint64_t e = 0; e < loads.size(); ++e) {
+                if ((e & check_mask) == 0)
+                    deadlineCheckpoint();
+                for (Addr line : loads[e].lines) {
+                    if (!sampler.sampled(line))
+                        continue;
+                    if (partOf(line, parts) == part) {
+                        std::uint32_t &slot = last[line]; // pos + 1
+                        prev[pos] = slot - 1; // kNoPrev when new
+                        slot = pos + 1;
+                    }
+                    ++pos;
+                }
+            }
+        }
+    });
+    return prev;
 }
 
 } // namespace
@@ -109,78 +333,237 @@ collectMrcProfile(const KernelTrace &kernel,
     evalCheckpoint(FaultSite::Collect);
 
     const std::uint32_t num_static = kernel.numStaticInsts();
+    const std::uint32_t num_warps = kernel.numWarps();
+    const std::uint32_t num_cores = config.numCores;
+    const std::size_t jobs = globalPool().concurrency();
+    const ShardsSampler sampler(sampling_rate);
     MrcProfile profile;
     profile.samplingRate = sampling_rate;
     profile.lineBytes = config.l1LineBytes;
     profile.pcs.resize(num_static);
-    for (std::uint32_t pc : kernel.instPcs())
-        ++profile.pcs[pc].instCount;
 
-    const ShardsSampler sampler(sampling_rate);
-    std::vector<std::vector<std::uint32_t>> d1s =
-        perCoreDistances(kernel, config, sampler);
+    // Every walk below checks the deadline once per this many load
+    // instructions, which is at most one round's worth: a round holds
+    // one memory instruction of each warp.
+    const std::size_t check_mask =
+        std::bit_floor(std::max<std::uint32_t>(num_warps, 1)) - 1;
 
-    // Phase B: the merged stream in the serial collector's global
-    // round-robin interleave (the order the shared L2 sees), pairing
-    // each sampled load line's dg with the next d1 of its core.
-    std::vector<mrc_detail::FlatTable<double>> req_acc(num_static);
-    std::vector<mrc_detail::FlatTable<double>> inst_acc(num_static);
+    // Dense indices of the global-memory PCs, which own key segments.
+    std::vector<std::uint32_t> mem_index(num_static, 0);
+    std::vector<std::uint32_t> mem_pcs;
+    for (std::uint32_t pc = 0; pc < num_static; ++pc) {
+        if (isGlobalMemory(kernel.opcodeOf(pc))) {
+            mem_index[pc] = static_cast<std::uint32_t>(mem_pcs.size());
+            mem_pcs.push_back(pc);
+        }
+    }
+    const std::size_t num_mem = mem_pcs.size();
+
+    std::vector<LoadRef> loads =
+        mergedLoads(kernel, config, mem_index, jobs, profile);
+
+    // Chunks: ranges of the merged walk of about equal load lines, one
+    // per pool thread, fewer for a small kernel.
+    const std::size_t num_chunks = static_cast<std::size_t>(
+        std::max<std::uint64_t>(
+            1, std::min<std::uint64_t>(
+                   {jobs, loads.size(),
+                    profile.totalLoadLines / kMinChunkLines})));
+    std::vector<std::uint64_t> bounds(num_chunks + 1, loads.size());
+    bounds[0] = 0;
     {
-        const std::vector<Opcode> &ops = kernel.instOps();
-        const std::vector<std::uint32_t> &pcs = kernel.instPcs();
-        std::vector<std::uint32_t> warps(kernel.numWarps());
-        std::iota(warps.begin(), warps.end(), 0u);
-        std::vector<std::uint32_t> warp_core(kernel.numWarps());
-        for (std::uint32_t w : warps)
-            warp_core[w] = kernel.coreOfWarp(w, config);
-        std::vector<std::size_t> d1_pos(config.numCores, 0);
-        ReuseDistanceTracker global;
-        walkRounds(kernel, warps, [&](std::uint64_t f, std::uint32_t w) {
-            const std::uint32_t pc_id = pcs[f];
-            MrcPcProfile &pc = profile.pcs[pc_id];
-            LineSpan lines = kernel.linesOfFlat(f);
-            if (ops[f] != Opcode::GlobalLoad) {
-                // Stores are write-through/no-allocate: no tag state,
-                // no tracker updates, always DRAM-bound.
-                ++pc.storeInsts;
-                pc.storeReqs += lines.size();
-                return;
-            }
-            ++pc.loadInsts;
-            pc.loadReqs += lines.size();
-            profile.totalLoadLines += lines.size();
-            const std::uint32_t core = warp_core[w];
-            bool any_sampled = false;
-            std::uint32_t max_d1 = 0, max_dg = 0;
-            for (Addr line : lines) {
-                if (!sampler.sampled(line))
+        std::uint64_t seen = 0;
+        std::size_t chunk = 1;
+        for (std::size_t e = 0; e < loads.size() && chunk < num_chunks;
+             ++e) {
+            seen += loads[e].lines.size();
+            while (chunk < num_chunks &&
+                   seen * num_chunks >= chunk * profile.totalLoadLines)
+                bounds[chunk++] = e + 1;
+        }
+    }
+
+    // Phase A: each core's L1 stream through its own tracker, cores in
+    // parallel. d1s[c] holds the d1 (scaled back to the full stream)
+    // of every sampled load line in that core's walk order, which is
+    // the order the merged walk meets them in: the merged walk
+    // restricted to one core's warps is exactly that core's walk. Each
+    // core also records its d1 slot at every chunk start and its
+    // sampled counts per chunk and PC.
+    std::vector<std::vector<std::uint32_t>> d1s(num_cores);
+    std::vector<std::uint64_t> slots(num_cores * (num_chunks + 1));
+    std::vector<SampledCount> counts(num_cores * num_chunks * num_mem);
+    std::vector<std::uint64_t> distinct(num_cores);
+    poolFor(num_cores, [&](std::size_t c) {
+        std::vector<std::uint32_t> &out = d1s[c];
+        ReuseDistanceTracker tracker;
+        for (std::size_t j = 0; j < num_chunks; ++j) {
+            slots[c * (num_chunks + 1) + j] = out.size();
+            SampledCount *count = &counts[(c * num_chunks + j) * num_mem];
+            for (std::uint64_t e = bounds[j]; e < bounds[j + 1]; ++e) {
+                if ((e & check_mask) == 0)
+                    deadlineCheckpoint();
+                if (loads[e].core != c)
                     continue;
-                ++profile.sampledLoadLines;
-                std::uint32_t d1 = d1s[core][d1_pos[core]++];
-                std::uint32_t dg = sampler.unscale(global.access(line));
-                req_acc[pc_id][packReusePair(d1, dg)] += sampler.weight();
-                // The cold sentinel is the numeric max, so max()
-                // correctly makes a cold line the slowest.
-                max_d1 = any_sampled ? std::max(max_d1, d1) : d1;
-                max_dg = any_sampled ? std::max(max_dg, dg) : dg;
-                any_sampled = true;
+                const std::size_t before = out.size();
+                for (Addr line : loads[e].lines) {
+                    if (sampler.sampled(line))
+                        out.push_back(sampler.unscale(tracker.access(line)));
+                }
+                SampledCount &pc = count[loads[e].pc];
+                pc.reqs += out.size() - before;
+                pc.insts += out.size() != before;
             }
-            if (any_sampled) {
-                inst_acc[pc_id][packReusePair(max_d1, max_dg)] +=
-                    sampler.weight();
+        }
+        slots[c * (num_chunks + 1) + num_chunks] = out.size();
+        distinct[c] = tracker.uniqueLines();
+    });
+
+    // Each chunk's first merged position, and where each chunk writes
+    // each PC's keys: one array holds every PC's request keys, then its
+    // instruction keys, chunk after chunk.
+    std::vector<std::uint64_t> starts(num_chunks + 1, 0);
+    for (std::size_t j = 0; j <= num_chunks; ++j) {
+        for (std::uint32_t c = 0; c < num_cores; ++c)
+            starts[j] += slots[c * (num_chunks + 1) + j];
+    }
+    const std::uint64_t sampled = starts[num_chunks];
+    profile.sampledLoadLines = sampled;
+    if (sampled >= kNoPrev) {
+        throw StatusException(Status(
+            StatusCode::Overflow,
+            msg("collectMrcProfile: ", sampled,
+                " sampled load lines exceed the walk's 32-bit "
+                "positions")));
+    }
+    // Segment m's runs: request keys at req_runs[m], instruction keys
+    // at inst_runs[m], chunk j's run from element j to j + 1.
+    std::vector<std::vector<std::uint64_t>> req_runs(num_mem),
+        inst_runs(num_mem);
+    std::uint64_t num_keys = 0;
+    for (std::size_t m = 0; m < num_mem; ++m) {
+        for (auto [runs, insts] : {std::pair{&req_runs[m], false},
+                                   std::pair{&inst_runs[m], true}}) {
+            runs->push_back(num_keys);
+            for (std::size_t j = 0; j < num_chunks; ++j) {
+                for (std::uint32_t c = 0; c < num_cores; ++c) {
+                    const SampledCount &n =
+                        counts[(c * num_chunks + j) * num_mem + m];
+                    num_keys += insts ? n.insts : n.reqs;
+                }
+                runs->push_back(num_keys);
+            }
+        }
+    }
+    counts = {};
+
+    std::uint64_t distinct_lines = 0;
+    for (std::uint64_t d : distinct)
+        distinct_lines += d;
+    std::vector<std::uint32_t> prev = previousOccurrences(
+        loads, sampler, sampled, distinct_lines, jobs, check_mask);
+
+    // Chunks: each rebuilds the live set at its start (every earlier
+    // position that no earlier position names as its previous
+    // occurrence is some line's last access), then walks its range as
+    // the serial tracker would, pairing each sampled line's dg with
+    // the next d1 of its core, writing the pair's key into its PC's
+    // run, and sorts its runs.
+    std::vector<std::uint64_t> keys(num_keys);
+    {
+        std::vector<mrc_detail::LiveSet> live(num_chunks);
+        for (std::size_t j = 0; j < num_chunks; ++j)
+            live[j].reset(starts[j + 1]);
+        poolFor(num_chunks, [&](std::size_t j) {
+            mrc_detail::LiveSet &stamps = live[j];
+            const std::uint64_t start = starts[j];
+            stamps.assign(start, [&](auto remove) {
+                for (std::uint64_t i = 0; i < start; ++i) {
+                    if (prev[i] != kNoPrev)
+                        remove(prev[i]);
+                }
+            });
+            std::vector<std::uint64_t> next_d1(num_cores);
+            for (std::uint32_t c = 0; c < num_cores; ++c)
+                next_d1[c] = slots[c * (num_chunks + 1) + j];
+            std::vector<std::uint64_t> req_out(num_mem), inst_out(num_mem);
+            for (std::size_t m = 0; m < num_mem; ++m) {
+                req_out[m] = req_runs[m][j];
+                inst_out[m] = inst_runs[m][j];
+            }
+            std::uint64_t pos = start;
+            for (std::uint64_t e = bounds[j]; e < bounds[j + 1]; ++e) {
+                if ((e & check_mask) == 0)
+                    deadlineCheckpoint();
+                const LoadRef load = loads[e];
+                const std::uint32_t m = load.pc;
+                const std::vector<std::uint32_t> &d1 = d1s[load.core];
+                bool any_sampled = false;
+                std::uint32_t max_d1 = 0, max_dg = 0;
+                for (Addr line : load.lines) {
+                    if (!sampler.sampled(line))
+                        continue;
+                    std::uint32_t raw = mrcColdDistance;
+                    if (prev[pos] != kNoPrev) {
+                        const std::uint64_t between =
+                            stamps.size() - stamps.rank(prev[pos]);
+                        raw = between >= mrcColdDistance
+                                  ? mrcColdDistance - 1
+                                  : static_cast<std::uint32_t>(between);
+                        stamps.erase(prev[pos]);
+                    }
+                    stamps.insert(pos++);
+                    const std::uint32_t d1v = d1[next_d1[load.core]++];
+                    const std::uint32_t dg = sampler.unscale(raw);
+                    keys[req_out[m]++] = packReusePair(d1v, dg);
+                    // The cold sentinel is the numeric max, so max()
+                    // correctly makes a cold line the slowest.
+                    max_d1 = any_sampled ? std::max(max_d1, d1v) : d1v;
+                    max_dg = any_sampled ? std::max(max_dg, dg) : dg;
+                    any_sampled = true;
+                }
+                if (any_sampled)
+                    keys[inst_out[m]++] = packReusePair(max_d1, max_dg);
+            }
+            for (std::size_t m = 0; m < num_mem; ++m) {
+                deadlineCheckpoint();
+                for (const auto *runs : {&req_runs[m], &inst_runs[m]})
+                    sortKeys(keys.data() + (*runs)[j],
+                             (*runs)[j + 1] - (*runs)[j]);
             }
         });
     }
+    loads = {};
+    prev = {};
     d1s = {};
 
-    // Freeze each accumulator into its key-sorted histogram, freeing
-    // the table as soon as it is copied out.
-    for (std::uint32_t pc = 0; pc < num_static; ++pc) {
-        profile.pcs[pc].reqHist = req_acc[pc].sorted();
-        req_acc[pc] = {};
-        profile.pcs[pc].instHist = inst_acc[pc].sorted();
-        inst_acc[pc] = {};
+    // Merge and freeze: each PC's sorted runs are counted on the pool,
+    // its histograms sized here, then filled on the pool. A key seen k
+    // times weighs k sequential additions of the sampling weight.
+    std::vector<std::size_t> req_keys(num_mem), inst_keys(num_mem);
+    poolFor(num_mem, [&](std::size_t m) {
+        deadlineCheckpoint();
+        mergeRuns(keys.data(), req_runs[m],
+                  [&](std::uint64_t, std::uint64_t) { ++req_keys[m]; });
+        mergeRuns(keys.data(), inst_runs[m],
+                  [&](std::uint64_t, std::uint64_t) { ++inst_keys[m]; });
+    });
+    for (std::size_t m = 0; m < num_mem; ++m) {
+        profile.pcs[mem_pcs[m]].reqHist.reserve(req_keys[m]);
+        profile.pcs[mem_pcs[m]].instHist.reserve(inst_keys[m]);
     }
+    poolFor(num_mem, [&](std::size_t m) {
+        deadlineCheckpoint();
+        MrcPcProfile &pc = profile.pcs[mem_pcs[m]];
+        for (auto [runs, hist] : {std::pair{&req_runs[m], &pc.reqHist},
+                                  std::pair{&inst_runs[m], &pc.instHist}}) {
+            mergeRuns(keys.data(), *runs,
+                      [&](std::uint64_t key, std::uint64_t count) {
+                          hist->emplace_back(
+                              key, sumWeight(count, sampler.weight()));
+                      });
+        }
+    });
     return profile;
 }
 

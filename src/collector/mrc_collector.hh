@@ -3,13 +3,32 @@
  * One-pass reuse-distance profiling and miss-ratio-curve derivation
  * (the MRC fast path for cache-geometry sweeps).
  *
- * collectMrcProfile() makes one profiling pass in the serial
- * collector's round-robin warp/core interleave — each core's L1
- * stream in parallel, then the merged stream — and records, per
- * static PC, joint (per-core, merged-stream) LRU stack distances for
- * every sampled load line request plus exact execution and load/store
- * counts. Stores mirror the simulated collector:
- * write-through/no-allocate, so they never touch the trackers.
+ * collectMrcProfile() profiles the serial collector's round-robin
+ * warp/core interleave and records, per static PC, joint (per-core,
+ * merged-stream) LRU stack distances for every sampled load line
+ * request plus exact execution and load/store counts. Stores mirror
+ * the simulated collector: write-through/no-allocate, so they never
+ * touch the trackers. Every stage runs on the shared pool, and the
+ * profile is bit-identical at any job count:
+ *
+ *  1. the merged walk's load instructions are listed in order, and the
+ *     list is cut into one chunk of about equal load lines per thread;
+ *  2. each core's L1 stream runs through its own tracker (d1), also
+ *     counting its sampled lines per chunk and PC;
+ *  3. tasks partitioned by line hash find each sampled line's previous
+ *     occurrence in the merged stream;
+ *  4. each chunk rebuilds the set of live positions at its start from
+ *     those, counts each line's merged-stream distance (dg) on it,
+ *     pairs it with its core's next d1, and writes the pair's key into
+ *     its PC's run, which it then sorts;
+ *  5. each PC's runs are merged into its histograms. A key seen k
+ *     times weighs k sequential additions of the sampling weight,
+ *     exactly what one accumulator summing every observation holds.
+ *
+ * The caller's thread allocates every large buffer and the pool tasks
+ * only fill them, so the memory they need is not left behind in the
+ * workers' malloc arenas. The caller's EvalContext goes with every
+ * task, so its deadline is checked at least once per round.
  *
  * deriveCollectorResult() then prices ANY cache geometry against the
  * profile in O(histogram) time, producing a CollectorResult with the

@@ -22,58 +22,29 @@ mixLine(std::uint64_t x)
 
 } // namespace
 
-void
-ReuseDistanceTracker::bitSet(std::size_t pos)
-{
-    for (std::size_t i = pos + 1; i <= tree.size(); i += i & (~i + 1))
-        ++tree[i - 1];
-    ++live;
-}
-
-void
-ReuseDistanceTracker::bitClear(std::size_t pos)
-{
-    for (std::size_t i = pos + 1; i <= tree.size(); i += i & (~i + 1))
-        --tree[i - 1];
-    --live;
-}
-
-std::uint64_t
-ReuseDistanceTracker::bitPrefix(std::size_t pos) const
-{
-    std::uint64_t sum = 0;
-    for (std::size_t i = pos + 1; i > 0; i -= i & (~i + 1))
-        sum += tree[i - 1];
-    return sum;
-}
-
 std::uint32_t
 ReuseDistanceTracker::access(Addr line)
 {
     const std::uint64_t stamp = clock++;
-    if (stamp >= tree.size()) {
-        // Double the (power-of-two) Fenwick capacity. Every new node's
-        // range lies inside the new half except the root, whose range
-        // (0, 2n] covers every currently-set bit.
-        tree.resize(tree.empty() ? 64 : tree.size() * 2, 0);
-        tree.back() = static_cast<std::uint32_t>(live);
-    }
+    if (stamp >= stamps.capacity())
+        stamps.grow();
 
     std::uint64_t &slot = last[line]; // stamp + 1; 0 = never seen
     std::uint32_t distance = mrcColdDistance;
     if (slot != 0) {
         const std::uint64_t prev = slot - 1;
-        // Distinct lines since the previous access: every set bit is
-        // some line's current last access, so the count of set bits
-        // strictly after prev is exactly the intervening-line count.
-        std::uint64_t between = live - bitPrefix(prev);
+        // Distinct lines since the previous access: every live stamp
+        // is some line's current last access, so the count of live
+        // stamps strictly after prev is exactly the intervening-line
+        // count.
+        std::uint64_t between = stamps.size() - stamps.rank(prev);
         distance = between >= mrcColdDistance
                        ? mrcColdDistance - 1
                        : static_cast<std::uint32_t>(between);
-        bitClear(prev);
+        stamps.erase(prev);
     }
     slot = stamp + 1;
-    bitSet(stamp);
+    stamps.insert(stamp);
     return distance;
 }
 

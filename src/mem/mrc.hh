@@ -6,8 +6,8 @@
  * an LRU stack distance into a hit probability for an arbitrary
  * set-associative geometry.
  *
- * The collector pass (collector/mrc_collector.hh) walks the trace
- * ONCE and records, for every sampled load line request, the pair
+ * The collector pass (collector/mrc_collector.hh) profiles the trace
+ * once and records, for every sampled load line request, the pair
  *
  *   (d1, dg) = (per-core LRU stack distance,
  *               merged-stream LRU stack distance)
@@ -28,6 +28,11 @@
  * "union stream" approximation), so it is exact only when L1 filters
  * nothing (and in the common cold-miss-dominated regimes); every other
  * combination is flagged, not silently absorbed.
+ *
+ * Distances are counted on a LiveSet: a bitset of the positions that
+ * are some line's last access, with a Fenwick tree over its 64-bit
+ * words. The per-core ReuseDistanceTracker and the collector's
+ * merged-stream chunks both use it.
  */
 
 #ifndef GPUMECH_MEM_MRC_HH
@@ -84,6 +89,28 @@ class FlatTable
     /** Keys stored. */
     std::size_t size() const { return count; }
 
+    /** Size the slots for @p keys keys, so that many insertions
+     *  allocate nothing more. Only valid while empty. */
+    void
+    reserve(std::size_t keys)
+    {
+        std::size_t cap = 16;
+        while ((keys + 1) * 4 > cap * 3)
+            cap *= 2;
+        if (cap > slots.size()) {
+            slots.assign(cap, Slot{});
+            shift = 64 - std::countr_zero(slots.size());
+        }
+    }
+
+    /** Remove every key, keeping the slots. */
+    void
+    clear()
+    {
+        std::fill(slots.begin(), slots.end(), Slot{});
+        count = 0;
+    }
+
     /** The entries as (key, value) pairs in ascending key order. */
     std::vector<std::pair<std::uint64_t, V>>
     sorted() const
@@ -133,18 +160,125 @@ class FlatTable
     unsigned shift = 64; //!< 64 - log2(capacity)
 };
 
+/**
+ * A set of stream positions with rank queries: a bitset plus a Fenwick
+ * tree over the popcounts of its 64-bit words. An update or a rank
+ * query walks log2(words) tree levels, and the tree takes 4 B per 64
+ * positions, so it stays in cache where a tree over positions would
+ * not. The word count is a power of two, which lets grow() double it
+ * in place: every new node covers only new (empty) words except the
+ * root, which covers all of them.
+ */
+class LiveSet
+{
+  public:
+    /** Capacity in positions. */
+    std::size_t capacity() const { return words.size() * 64; }
+
+    /** Members. */
+    std::uint64_t size() const { return live; }
+
+    /** An empty set with room for positions [0, @p positions). */
+    void
+    reset(std::size_t positions)
+    {
+        std::size_t n = 1;
+        while (n * 64 < positions)
+            n *= 2;
+        words.assign(n, 0);
+        tree.assign(n, 0);
+        live = 0;
+    }
+
+    /** Double the capacity, keeping the members. */
+    void
+    grow()
+    {
+        const std::size_t n = words.empty() ? 1 : words.size() * 2;
+        words.resize(n, 0);
+        tree.resize(n, 0);
+        tree.back() = static_cast<std::uint32_t>(live);
+    }
+
+    /** Add @p pos, which must be absent and below capacity(). */
+    void
+    insert(std::size_t pos)
+    {
+        words[pos >> 6] |= std::uint64_t{1} << (pos & 63);
+        for (std::size_t i = (pos >> 6) + 1; i <= tree.size();
+             i += i & (~i + 1))
+            ++tree[i - 1];
+        ++live;
+    }
+
+    /** Remove @p pos, which must be a member. */
+    void
+    erase(std::size_t pos)
+    {
+        words[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
+        for (std::size_t i = (pos >> 6) + 1; i <= tree.size();
+             i += i & (~i + 1))
+            --tree[i - 1];
+        --live;
+    }
+
+    /** Members in [0, @p pos]. */
+    std::uint64_t
+    rank(std::size_t pos) const
+    {
+        std::uint64_t sum = std::popcount(words[pos >> 6] &
+                                          (~std::uint64_t{0} >>
+                                           (63 - (pos & 63))));
+        for (std::size_t i = pos >> 6; i > 0; i -= i & (~i + 1))
+            sum += tree[i - 1];
+        return sum;
+    }
+
+    /**
+     * Bulk load in O(capacity / 64): the members become [0, @p n)
+     * minus every position @p drop removes. drop(remove) calls
+     * remove(pos) once per position to leave out, each below n.
+     */
+    template <typename Drop>
+    void
+    assign(std::size_t n, Drop &&drop)
+    {
+        std::fill(words.begin(), words.end(), 0);
+        std::fill(words.begin(), words.begin() + (n >> 6),
+                  ~std::uint64_t{0});
+        if (n & 63)
+            words[n >> 6] = ~std::uint64_t{0} >> (64 - (n & 63));
+        live = n;
+        drop([this](std::size_t pos) {
+            words[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
+            --live;
+        });
+        for (std::size_t i = 0; i < words.size(); ++i)
+            tree[i] = static_cast<std::uint32_t>(std::popcount(words[i]));
+        for (std::size_t i = 1; i <= tree.size(); ++i) {
+            const std::size_t parent = i + (i & (~i + 1));
+            if (parent <= tree.size())
+                tree[parent - 1] += tree[i - 1];
+        }
+    }
+
+  private:
+    std::vector<std::uint64_t> words; //!< bit p of word p/64
+    std::vector<std::uint32_t> tree;  //!< Fenwick over words, 1-based
+    std::uint64_t live = 0;           //!< members
+};
+
 } // namespace mrc_detail
 
 /**
  * LRU stack-distance tracker over one access stream.
  *
  * Classic two-structure design: a flat hash table from line to the
- * stamp of its previous access, plus a Fenwick tree over stamps
- * holding one set bit per currently-live "last access". A new
- * access's distance is the number of set bits after its previous
- * stamp — the count of distinct lines touched since — at O(log n) per
- * access. Stamps are assigned sequentially, so the tree only ever
- * grows at the end.
+ * stamp of its previous access, plus a LiveSet of stamps holding each
+ * line's current last access. A new access's distance is the number
+ * of live stamps after its previous stamp — the count of distinct
+ * lines touched since — at O(log n) per access. Stamps are assigned
+ * sequentially, so the set only ever grows at the end.
  */
 class ReuseDistanceTracker
 {
@@ -163,15 +297,9 @@ class ReuseDistanceTracker
     std::uint64_t accesses() const { return clock; }
 
   private:
-    void bitSet(std::size_t pos);
-    void bitClear(std::size_t pos);
-    /** Set bits in [0, pos] (inclusive prefix). */
-    std::uint64_t bitPrefix(std::size_t pos) const;
-
     mrc_detail::FlatTable<std::uint64_t> last; //!< line -> stamp + 1
-    std::vector<std::uint32_t> tree; //!< Fenwick tree, 1-based
-    std::uint64_t clock = 0;         //!< next stamp
-    std::uint64_t live = 0;          //!< set bits in the tree
+    mrc_detail::LiveSet stamps; //!< each line's last access
+    std::uint64_t clock = 0;    //!< next stamp
 };
 
 /**

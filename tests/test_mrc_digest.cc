@@ -17,6 +17,9 @@
  * entry. Under ThreadSanitizer only the two smallest shapes are
  * registered, which keeps that build's run short.
  *
+ * MrcDigestDeadline checks that the walk's pool stages honour the
+ * caller's deadline and leave the pool usable.
+ *
  * The table is tests/golden/mrc_digest.txt. A case whose line is
  * missing or differs prints its actual line after "got: ". To
  * regenerate after an intended change, delete the table's data lines
@@ -27,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -37,6 +41,8 @@
 #include <vector>
 
 #include "collector/mrc_collector.hh"
+#include "common/isolation.hh"
+#include "common/status.hh"
 #include "common/thread_pool.hh"
 #include "workloads/workload.hh"
 
@@ -246,6 +252,53 @@ TEST_P(MrcDigestGolden, EveryProfileMatchesTableAtAnyJobCount)
             }
         }
     }
+}
+
+/** The DeadlineExceeded a profile under @p token throws, if any. */
+bool
+throwsDeadline(const KernelTrace &kernel, const HardwareConfig &config,
+               const CancelToken &token)
+{
+    ScopedEvalContext scope(kernel.name(), token, nullptr);
+    try {
+        collectMrcProfile(kernel, config);
+    } catch (const StatusException &e) {
+        EXPECT_EQ(e.status().code(), StatusCode::DeadlineExceeded)
+            << e.status().toString();
+        return true;
+    }
+    return false;
+}
+
+TEST(MrcDigestDeadline, WalkStopsAtTheDeadlineAndThePoolStaysUsable)
+{
+    // The largest profile of the table: 1.56M sampled lines, which no
+    // host walks within the 10 ms deadline below. That deadline has
+    // not passed when the call starts, so only the walk's own checks
+    // on the pool can stop it.
+    const std::string name = "kmeans_invert_mapping";
+    const HardwareConfig config = HardwareConfig::baseline();
+    const KernelTrace kernel = workloadByName(name).generate(config);
+    setDefaultJobs(4);
+    const CancelToken expired = CancelToken::withTimeoutMs(1);
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    EXPECT_TRUE(throwsDeadline(kernel, config, expired));
+    EXPECT_TRUE(
+        throwsDeadline(kernel, config, CancelToken::withTimeoutMs(10)));
+
+    // The pool still works: a profile without a deadline matches the
+    // table.
+    const auto &table = goldenTable();
+    ASSERT_TRUE(table.opened);
+    auto it = table.lines.find("table1 rate1 " + name);
+    ASSERT_NE(it, table.lines.end());
+    EXPECT_EQ(formatProfile("table1", "rate1", name,
+                            collectMrcProfile(kernel, config)),
+              it->second);
+    setDefaultJobs(0);
 }
 
 std::string
