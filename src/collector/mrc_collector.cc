@@ -201,7 +201,7 @@ mergedLoads(const KernelTrace &kernel, const HardwareConfig &config,
             static_cast<std::uint32_t>((g + 1) * num_warps / groups));
     };
     poolFor(groups, [&](std::size_t g) {
-        MrcPcProfile *counts = &group_pcs[g * num_static];
+        MrcPcProfile *counts = group_pcs.data() + g * num_static;
         std::vector<std::uint64_t> &loads_in = round_loads[g];
         const auto [first, last] = groupWarps(g);
         for (std::uint32_t w = first; w < last; ++w) {
@@ -399,7 +399,8 @@ collectMrcProfile(const KernelTrace &kernel,
         ReuseDistanceTracker tracker;
         for (std::size_t j = 0; j < num_chunks; ++j) {
             slots[c * (num_chunks + 1) + j] = out.size();
-            SampledCount *count = &counts[(c * num_chunks + j) * num_mem];
+            SampledCount *count =
+                counts.data() + (c * num_chunks + j) * num_mem;
             for (std::uint64_t e = bounds[j]; e < bounds[j + 1]; ++e) {
                 if ((e & check_mask) == 0)
                     deadlineCheckpoint();

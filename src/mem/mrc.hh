@@ -62,7 +62,7 @@ namespace mrc_detail
  * the MRC layer: power-of-two capacity, linear probing, multiplicative
  * (Fibonacci) hashing, load factor at most 3/4. A slot holding V{}
  * is empty, so callers never store V{}: the tracker stores stamp + 1
- * and the histogram accumulators store positive weights.
+ * and the collector's previous-occurrence tables position + 1.
  */
 template <typename V>
 class FlatTable
@@ -109,20 +109,6 @@ class FlatTable
     {
         std::fill(slots.begin(), slots.end(), Slot{});
         count = 0;
-    }
-
-    /** The entries as (key, value) pairs in ascending key order. */
-    std::vector<std::pair<std::uint64_t, V>>
-    sorted() const
-    {
-        std::vector<std::pair<std::uint64_t, V>> out;
-        out.reserve(count);
-        for (const Slot &slot : slots) {
-            if (slot.value != V{})
-                out.emplace_back(slot.key, slot.value);
-        }
-        std::sort(out.begin(), out.end()); // keys are unique
-        return out;
     }
 
   private:
