@@ -39,13 +39,14 @@ struct LoadRef
 };
 
 /**
- * parallelFor on the shared pool whose tasks run under the caller's
- * EvalContext: checkpoints read a thread-local frame, so without it
- * the workers' deadline checks would be dead.
+ * parallelFor over @p jobs threads (1: inline; else the shared pool)
+ * whose tasks run under the caller's EvalContext: checkpoints read a
+ * thread-local frame, so without it the workers' deadline checks would
+ * be dead.
  */
 template <typename Body>
 void
-poolFor(std::size_t n, Body &&body)
+poolFor(std::size_t n, std::size_t jobs, Body &&body)
 {
     const EvalContext *caller = currentEvalContext();
     parallelFor(
@@ -57,7 +58,7 @@ poolFor(std::size_t n, Body &&body)
                               caller->plan);
             body(i);
         },
-        1, 0);
+        1, static_cast<unsigned>(jobs));
 }
 
 /** Sampled load lines and load executions with one, of one PC. */
@@ -200,7 +201,7 @@ mergedLoads(const KernelTrace &kernel, const HardwareConfig &config,
             static_cast<std::uint32_t>(g * num_warps / groups),
             static_cast<std::uint32_t>((g + 1) * num_warps / groups));
     };
-    poolFor(groups, [&](std::size_t g) {
+    poolFor(groups, jobs, [&](std::size_t g) {
         MrcPcProfile *counts = group_pcs.data() + g * num_static;
         std::vector<std::uint64_t> &loads_in = round_loads[g];
         const auto [first, last] = groupWarps(g);
@@ -256,7 +257,7 @@ mergedLoads(const KernelTrace &kernel, const HardwareConfig &config,
         }
     }
     std::vector<LoadRef> loads(total);
-    poolFor(groups, [&](std::size_t g) {
+    poolFor(groups, jobs, [&](std::size_t g) {
         std::vector<std::uint64_t> &next = round_loads[g];
         const auto [first, last] = groupWarps(g);
         for (std::uint32_t w = first; w < last; ++w) {
@@ -300,7 +301,7 @@ previousOccurrences(const std::vector<LoadRef> &loads,
     std::vector<mrc_detail::FlatTable<std::uint32_t>> tables(jobs);
     for (auto &table : tables)
         table.reserve(part_lines + part_lines / 8);
-    poolFor(jobs, [&](std::size_t lane) {
+    poolFor(jobs, jobs, [&](std::size_t lane) {
         mrc_detail::FlatTable<std::uint32_t> &last = tables[lane];
         for (std::size_t part = lane; part < parts; part += jobs) {
             last.clear();
@@ -335,7 +336,11 @@ collectMrcProfile(const KernelTrace &kernel,
     const std::uint32_t num_static = kernel.numStaticInsts();
     const std::uint32_t num_warps = kernel.numWarps();
     const std::uint32_t num_cores = config.numCores;
-    const std::size_t jobs = globalPool().concurrency();
+    // A kernel smaller than one chunk runs every stage inline: waking
+    // the pool for it costs more than the stages take.
+    const std::size_t jobs = kernel.totalLines() < kMinChunkLines
+                                 ? 1
+                                 : globalPool().concurrency();
     const ShardsSampler sampler(sampling_rate);
     MrcProfile profile;
     profile.samplingRate = sampling_rate;
@@ -394,7 +399,7 @@ collectMrcProfile(const KernelTrace &kernel,
     std::vector<std::uint64_t> slots(num_cores * (num_chunks + 1));
     std::vector<SampledCount> counts(num_cores * num_chunks * num_mem);
     std::vector<std::uint64_t> distinct(num_cores);
-    poolFor(num_cores, [&](std::size_t c) {
+    poolFor(num_cores, jobs, [&](std::size_t c) {
         std::vector<std::uint32_t> &out = d1s[c];
         ReuseDistanceTracker tracker;
         for (std::size_t j = 0; j < num_chunks; ++j) {
@@ -475,7 +480,7 @@ collectMrcProfile(const KernelTrace &kernel,
         std::vector<mrc_detail::LiveSet> live(num_chunks);
         for (std::size_t j = 0; j < num_chunks; ++j)
             live[j].reset(starts[j + 1]);
-        poolFor(num_chunks, [&](std::size_t j) {
+        poolFor(num_chunks, jobs, [&](std::size_t j) {
             mrc_detail::LiveSet &stamps = live[j];
             const std::uint64_t start = starts[j];
             stamps.assign(start, [&](auto remove) {
@@ -542,7 +547,7 @@ collectMrcProfile(const KernelTrace &kernel,
     // its histograms sized here, then filled on the pool. A key seen k
     // times weighs k sequential additions of the sampling weight.
     std::vector<std::size_t> req_keys(num_mem), inst_keys(num_mem);
-    poolFor(num_mem, [&](std::size_t m) {
+    poolFor(num_mem, jobs, [&](std::size_t m) {
         deadlineCheckpoint();
         mergeRuns(keys.data(), req_runs[m],
                   [&](std::uint64_t, std::uint64_t) { ++req_keys[m]; });
@@ -553,7 +558,7 @@ collectMrcProfile(const KernelTrace &kernel,
         profile.pcs[mem_pcs[m]].reqHist.reserve(req_keys[m]);
         profile.pcs[mem_pcs[m]].instHist.reserve(inst_keys[m]);
     }
-    poolFor(num_mem, [&](std::size_t m) {
+    poolFor(num_mem, jobs, [&](std::size_t m) {
         deadlineCheckpoint();
         MrcPcProfile &pc = profile.pcs[mem_pcs[m]];
         for (auto [runs, hist] : {std::pair{&req_runs[m], &pc.reqHist},

@@ -8,8 +8,9 @@
  * merged-stream) LRU stack distances for every sampled load line
  * request plus exact execution and load/store counts. Stores mirror
  * the simulated collector: write-through/no-allocate, so they never
- * touch the trackers. Every stage runs on the shared pool, and the
- * profile is bit-identical at any job count:
+ * touch the trackers. Every stage runs on the shared pool (inline for
+ * a kernel smaller than one chunk), and the profile is bit-identical
+ * at any job count:
  *
  *  1. the merged walk's load instructions are listed in order, and the
  *     list is cut into one chunk of about equal load lines per thread;
