@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <optional>
 
 #include "common/isolation.hh"
@@ -99,7 +98,7 @@ sumWeight(std::uint64_t count, double weight)
  * Sort keys in place: an MSD radix sort on bytes (American flag sort)
  * that starts each range at the highest bit its keys differ in, so
  * the leading bytes that small distances leave zero cost one pass.
- * About twice std::sort's speed on reuse-pair keys.
+ * 1.4-1.9x std::sort on 1.5M reuse-pair keys.
  */
 void
 sortKeys(std::uint64_t *keys, std::size_t n)
