@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <optional>
 
 #include "common/isolation.hh"
 #include "common/logging.hh"
@@ -37,29 +36,6 @@ struct LoadRef
     std::uint32_t pc;   //!< dense index among the global-memory PCs
 };
 
-/**
- * parallelFor over @p jobs threads (1: inline; else the shared pool)
- * whose tasks run under the caller's EvalContext: checkpoints read a
- * thread-local frame, so without it the workers' deadline checks would
- * be dead.
- */
-template <typename Body>
-void
-poolFor(std::size_t n, std::size_t jobs, Body &&body)
-{
-    const EvalContext *caller = currentEvalContext();
-    parallelFor(
-        n,
-        [&](std::size_t i) {
-            std::optional<ScopedEvalContext> scope;
-            if (caller)
-                scope.emplace(caller->kernel, caller->token,
-                              caller->plan);
-            body(i);
-        },
-        1, static_cast<unsigned>(jobs));
-}
-
 /** Sampled load lines and load executions with one, of one PC. */
 struct SampledCount
 {
@@ -79,15 +55,11 @@ partOf(Addr line, std::size_t parts)
 /**
  * The weight of a key seen @p count times: count sequential additions
  * of @p weight from zero, as one accumulator summing every observation
- * in turn would hold. An integral weight sums exactly, so it is
- * multiplied instead.
+ * in turn would hold.
  */
 double
 sumWeight(std::uint64_t count, double weight)
 {
-    if (weight == std::floor(weight) &&
-        static_cast<double>(count) * weight < 0x1p53)
-        return static_cast<double>(count) * weight;
     double sum = 0.0;
     for (std::uint64_t i = 0; i < count; ++i)
         sum += weight;
@@ -95,61 +67,20 @@ sumWeight(std::uint64_t count, double weight)
 }
 
 /**
- * Sort keys in place: an MSD radix sort on bytes (American flag sort)
- * that starts each range at the highest bit its keys differ in, so
- * the leading bytes that small distances leave zero cost one pass.
- * 1.4-1.9x std::sort on 1.5M reuse-pair keys.
- */
-void
-sortKeys(std::uint64_t *keys, std::size_t n)
-{
-    if (n < 64) {
-        std::sort(keys, keys + n);
-        return;
-    }
-    std::uint64_t diff = 0;
-    for (std::size_t i = 1; i < n; ++i)
-        diff |= keys[i] ^ keys[0];
-    if (diff == 0)
-        return;
-    const int shift = (63 - std::countl_zero(diff)) & ~7;
-    auto digit = [shift](std::uint64_t key) {
-        return static_cast<std::size_t>((key >> shift) & 255);
-    };
-    std::size_t next[256] = {}, end[256];
-    for (std::size_t i = 0; i < n; ++i)
-        ++next[digit(keys[i])];
-    std::size_t at = 0;
-    for (std::size_t b = 0; b < 256; ++b) {
-        const std::size_t count = next[b];
-        next[b] = at;
-        at += count;
-        end[b] = at;
-    }
-    // Cycle each misplaced key to its bucket's next free slot.
-    for (std::size_t b = 0; b < 256; ++b) {
-        while (next[b] < end[b]) {
-            std::uint64_t key = keys[next[b]];
-            for (std::size_t d = digit(key); d != b; d = digit(key))
-                std::swap(key, keys[next[d]++]);
-            keys[next[b]++] = key;
-        }
-    }
-    for (std::size_t b = 0, begin = 0; b < 256; begin = end[b++])
-        sortKeys(keys + begin, end[b] - begin);
-}
-
-/**
  * Visit the distinct keys of sorted runs in ascending order, calling
  * visit(key, count) with each key's count over all runs. Run r is
- * keys[bounds[r], bounds[r + 1]).
+ * keys[bounds[r], bounds[r + 1]). Checks the deadline on entry and
+ * once per check_mask + 1 keys.
  */
 template <typename Visit>
 void
 mergeRuns(const std::uint64_t *keys,
-          const std::vector<std::uint64_t> &bounds, Visit &&visit)
+          const std::vector<std::uint64_t> &bounds,
+          std::size_t check_mask, Visit &&visit)
 {
+    deadlineCheckpoint();
     std::vector<std::uint64_t> head(bounds.begin(), bounds.end() - 1);
+    std::uint64_t merged = 0;
     for (;;) {
         bool any = false;
         std::uint64_t key = 0;
@@ -169,6 +100,10 @@ mergeRuns(const std::uint64_t *keys,
             }
         }
         visit(key, count);
+        // Crossed a multiple of check_mask + 1.
+        if ((merged | check_mask) < merged + count)
+            deadlineCheckpoint();
+        merged += count;
     }
 }
 
@@ -180,12 +115,13 @@ mergeRuns(const std::uint64_t *keys,
  * tracker: skipping it would reorder the loads of a core whose warps
  * place stores at different positions. Warp groups count their loads
  * per round, and add the exact per-PC counts into @p profile, then
- * write their loads at the prefix-summed offsets.
+ * write their loads at the prefix-summed offsets. Each group checks
+ * the deadline once per check_mask + 1 instructions.
  */
 std::vector<LoadRef>
 mergedLoads(const KernelTrace &kernel, const HardwareConfig &config,
-            const std::vector<std::uint32_t> &mem_index, std::size_t jobs,
-            MrcProfile &profile)
+            const std::vector<std::uint32_t> &mem_index, unsigned jobs,
+            std::size_t check_mask, MrcProfile &profile)
 {
     const std::vector<Opcode> &ops = kernel.instOps();
     const std::vector<std::uint32_t> &pcs = kernel.instPcs();
@@ -200,16 +136,17 @@ mergedLoads(const KernelTrace &kernel, const HardwareConfig &config,
             static_cast<std::uint32_t>(g * num_warps / groups),
             static_cast<std::uint32_t>((g + 1) * num_warps / groups));
     };
-    poolFor(groups, jobs, [&](std::size_t g) {
+    parallelForInContext(groups, [&](std::size_t g) {
         MrcPcProfile *counts = group_pcs.data() + g * num_static;
         std::vector<std::uint64_t> &loads_in = round_loads[g];
         const auto [first, last] = groupWarps(g);
         for (std::uint32_t w = first; w < last; ++w) {
-            deadlineCheckpoint();
             const std::uint64_t off = kernel.instOffsetOf(w);
             const std::uint64_t end = off + kernel.warp(w).numInsts();
             std::size_t round = 0;
             for (std::uint64_t f = off; f < end; ++f) {
+                if (((f - off) & check_mask) == 0)
+                    deadlineCheckpoint();
                 MrcPcProfile &pc = counts[pcs[f]];
                 ++pc.instCount;
                 if (!isGlobalMemory(ops[f]))
@@ -228,7 +165,7 @@ mergedLoads(const KernelTrace &kernel, const HardwareConfig &config,
                 ++round;
             }
         }
-    });
+    }, 1, jobs);
     for (std::size_t g = 0; g < groups; ++g) {
         for (std::uint32_t p = 0; p < num_static; ++p) {
             const MrcPcProfile &from = group_pcs[g * num_static + p];
@@ -256,16 +193,17 @@ mergedLoads(const KernelTrace &kernel, const HardwareConfig &config,
         }
     }
     std::vector<LoadRef> loads(total);
-    poolFor(groups, jobs, [&](std::size_t g) {
+    parallelForInContext(groups, [&](std::size_t g) {
         std::vector<std::uint64_t> &next = round_loads[g];
         const auto [first, last] = groupWarps(g);
         for (std::uint32_t w = first; w < last; ++w) {
-            deadlineCheckpoint();
             const std::uint32_t core = kernel.coreOfWarp(w, config);
             const std::uint64_t off = kernel.instOffsetOf(w);
             const std::uint64_t end = off + kernel.warp(w).numInsts();
             std::size_t round = 0;
             for (std::uint64_t f = off; f < end; ++f) {
+                if (((f - off) & check_mask) == 0)
+                    deadlineCheckpoint();
                 if (!isGlobalMemory(ops[f]))
                     continue;
                 if (ops[f] == Opcode::GlobalLoad)
@@ -274,7 +212,7 @@ mergedLoads(const KernelTrace &kernel, const HardwareConfig &config,
                 ++round;
             }
         }
-    });
+    }, 1, jobs);
     return loads;
 }
 
@@ -290,7 +228,7 @@ mergedLoads(const KernelTrace &kernel, const HardwareConfig &config,
 std::vector<std::uint32_t>
 previousOccurrences(const std::vector<LoadRef> &loads,
                     const ShardsSampler &sampler, std::uint64_t sampled,
-                    std::uint64_t distinct_lines, std::size_t jobs,
+                    std::uint64_t distinct_lines, unsigned jobs,
                     std::size_t check_mask)
 {
     std::vector<std::uint32_t> prev(sampled);
@@ -300,7 +238,7 @@ previousOccurrences(const std::vector<LoadRef> &loads,
     std::vector<mrc_detail::FlatTable<std::uint32_t>> tables(jobs);
     for (auto &table : tables)
         table.reserve(part_lines + part_lines / 8);
-    poolFor(jobs, jobs, [&](std::size_t lane) {
+    parallelForInContext(jobs, [&](std::size_t lane) {
         mrc_detail::FlatTable<std::uint32_t> &last = tables[lane];
         for (std::size_t part = lane; part < parts; part += jobs) {
             last.clear();
@@ -320,7 +258,7 @@ previousOccurrences(const std::vector<LoadRef> &loads,
                 }
             }
         }
-    });
+    }, 1, jobs);
     return prev;
 }
 
@@ -335,20 +273,16 @@ collectMrcProfile(const KernelTrace &kernel,
     const std::uint32_t num_static = kernel.numStaticInsts();
     const std::uint32_t num_warps = kernel.numWarps();
     const std::uint32_t num_cores = config.numCores;
-    // A kernel smaller than one chunk runs every stage inline: waking
-    // the pool for it costs more than the stages take.
-    const std::size_t jobs = kernel.totalLines() < kMinChunkLines
-                                 ? 1
-                                 : globalPool().concurrency();
+    const unsigned jobs = globalPool().concurrency();
     const ShardsSampler sampler(sampling_rate);
     MrcProfile profile;
     profile.samplingRate = sampling_rate;
     profile.lineBytes = config.l1LineBytes;
     profile.pcs.resize(num_static);
 
-    // Every walk below checks the deadline once per this many load
-    // instructions, which is at most one round's worth: a round holds
-    // one memory instruction of each warp.
+    // Every stage below checks the deadline once per this many load
+    // instructions, instructions or keys, which is at most one round's
+    // worth: a round holds one memory instruction of each warp.
     const std::size_t check_mask =
         std::bit_floor(std::max<std::uint32_t>(num_warps, 1)) - 1;
 
@@ -364,14 +298,14 @@ collectMrcProfile(const KernelTrace &kernel,
     const std::size_t num_mem = mem_pcs.size();
 
     std::vector<LoadRef> loads =
-        mergedLoads(kernel, config, mem_index, jobs, profile);
+        mergedLoads(kernel, config, mem_index, jobs, check_mask, profile);
 
     // Chunks: ranges of the merged walk of about equal load lines, one
     // per pool thread, fewer for a small kernel.
     const std::size_t num_chunks = static_cast<std::size_t>(
         std::max<std::uint64_t>(
             1, std::min<std::uint64_t>(
-                   {jobs, loads.size(),
+                   {std::uint64_t{jobs}, loads.size(),
                     profile.totalLoadLines / kMinChunkLines})));
     std::vector<std::uint64_t> bounds(num_chunks + 1, loads.size());
     bounds[0] = 0;
@@ -398,7 +332,7 @@ collectMrcProfile(const KernelTrace &kernel,
     std::vector<std::uint64_t> slots(num_cores * (num_chunks + 1));
     std::vector<SampledCount> counts(num_cores * num_chunks * num_mem);
     std::vector<std::uint64_t> distinct(num_cores);
-    poolFor(num_cores, jobs, [&](std::size_t c) {
+    parallelForInContext(num_cores, [&](std::size_t c) {
         std::vector<std::uint32_t> &out = d1s[c];
         ReuseDistanceTracker tracker;
         for (std::size_t j = 0; j < num_chunks; ++j) {
@@ -422,7 +356,7 @@ collectMrcProfile(const KernelTrace &kernel,
         }
         slots[c * (num_chunks + 1) + num_chunks] = out.size();
         distinct[c] = tracker.uniqueLines();
-    });
+    }, 1, jobs);
 
     // Each chunk's first merged position, and where each chunk writes
     // each PC's keys: one array holds every PC's request keys, then its
@@ -473,17 +407,21 @@ collectMrcProfile(const KernelTrace &kernel,
     // occurrence is some line's last access), then walks its range as
     // the serial tracker would, pairing each sampled line's dg with
     // the next d1 of its core, writing the pair's key into its PC's
-    // run, and sorts its runs.
+    // run, and sorts its runs. A run's sort is the one step that
+    // checks no deadline inside; a run holds one chunk's keys of one
+    // PC.
     std::vector<std::uint64_t> keys(num_keys);
     {
         std::vector<mrc_detail::LiveSet> live(num_chunks);
         for (std::size_t j = 0; j < num_chunks; ++j)
             live[j].reset(starts[j + 1]);
-        poolFor(num_chunks, jobs, [&](std::size_t j) {
+        parallelForInContext(num_chunks, [&](std::size_t j) {
             mrc_detail::LiveSet &stamps = live[j];
             const std::uint64_t start = starts[j];
             stamps.assign(start, [&](auto remove) {
                 for (std::uint64_t i = 0; i < start; ++i) {
+                    if ((i & check_mask) == 0)
+                        deadlineCheckpoint();
                     if (prev[i] != kNoPrev)
                         remove(prev[i]);
                 }
@@ -533,10 +471,10 @@ collectMrcProfile(const KernelTrace &kernel,
             for (std::size_t m = 0; m < num_mem; ++m) {
                 deadlineCheckpoint();
                 for (const auto *runs : {&req_runs[m], &inst_runs[m]})
-                    sortKeys(keys.data() + (*runs)[j],
-                             (*runs)[j + 1] - (*runs)[j]);
+                    std::sort(keys.data() + (*runs)[j],
+                              keys.data() + (*runs)[j + 1]);
             }
-        });
+        }, 1, jobs);
     }
     loads = {};
     prev = {};
@@ -546,29 +484,27 @@ collectMrcProfile(const KernelTrace &kernel,
     // its histograms sized here, then filled on the pool. A key seen k
     // times weighs k sequential additions of the sampling weight.
     std::vector<std::size_t> req_keys(num_mem), inst_keys(num_mem);
-    poolFor(num_mem, jobs, [&](std::size_t m) {
-        deadlineCheckpoint();
-        mergeRuns(keys.data(), req_runs[m],
+    parallelForInContext(num_mem, [&](std::size_t m) {
+        mergeRuns(keys.data(), req_runs[m], check_mask,
                   [&](std::uint64_t, std::uint64_t) { ++req_keys[m]; });
-        mergeRuns(keys.data(), inst_runs[m],
+        mergeRuns(keys.data(), inst_runs[m], check_mask,
                   [&](std::uint64_t, std::uint64_t) { ++inst_keys[m]; });
-    });
+    }, 1, jobs);
     for (std::size_t m = 0; m < num_mem; ++m) {
         profile.pcs[mem_pcs[m]].reqHist.reserve(req_keys[m]);
         profile.pcs[mem_pcs[m]].instHist.reserve(inst_keys[m]);
     }
-    poolFor(num_mem, jobs, [&](std::size_t m) {
-        deadlineCheckpoint();
+    parallelForInContext(num_mem, [&](std::size_t m) {
         MrcPcProfile &pc = profile.pcs[mem_pcs[m]];
         for (auto [runs, hist] : {std::pair{&req_runs[m], &pc.reqHist},
                                   std::pair{&inst_runs[m], &pc.instHist}}) {
-            mergeRuns(keys.data(), *runs,
+            mergeRuns(keys.data(), *runs, check_mask,
                       [&](std::uint64_t key, std::uint64_t count) {
                           hist->emplace_back(
                               key, sumWeight(count, sampler.weight()));
                       });
         }
-    });
+    }, 1, jobs);
     return profile;
 }
 

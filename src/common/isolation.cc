@@ -1,9 +1,11 @@
 #include "common/isolation.hh"
 
+#include <optional>
 #include <thread>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 
 namespace gpumech
 {
@@ -191,6 +193,24 @@ deadlineCheckpoint()
         return;
     if (ctx->token.expired())
         throwDeadline(*ctx);
+}
+
+void
+parallelForInContext(std::size_t n,
+                     const std::function<void(std::size_t)> &body,
+                     std::size_t grain, unsigned jobs)
+{
+    const EvalContext *caller = current_frame;
+    parallelFor(
+        n,
+        [&](std::size_t i) {
+            std::optional<ScopedEvalContext> scope;
+            if (caller)
+                scope.emplace(caller->kernel, caller->token,
+                              caller->plan);
+            body(i);
+        },
+        grain, jobs);
 }
 
 } // namespace gpumech

@@ -21,8 +21,9 @@
  *    around each per-kernel task, carrying the kernel name, its
  *    CancelToken, and the active FaultPlan. Checkpoints read it and
  *    are no-ops when no frame is installed (or on pool workers
- *    running nested fan-out chunks), so library users who never
- *    configure isolation pay one thread-local load per checkpoint.
+ *    running nested fan-out chunks, unless the fan-out goes through
+ *    parallelForInContext()), so library users who never configure
+ *    isolation pay one thread-local load per checkpoint.
  */
 
 #ifndef GPUMECH_COMMON_ISOLATION_HH
@@ -30,6 +31,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -206,6 +208,15 @@ void deadlineCheckpoint();
  * ext_fault_injection bench).
  */
 inline constexpr std::size_t deadlineCheckStride = 8192;
+
+/**
+ * parallelFor (common/thread_pool.hh) whose tasks run under the
+ * calling thread's EvalContext, so the checkpoints a pool worker
+ * reaches see the caller's deadline and fault plan.
+ */
+void parallelForInContext(std::size_t n,
+                          const std::function<void(std::size_t)> &body,
+                          std::size_t grain = 1, unsigned jobs = 0);
 
 } // namespace gpumech
 

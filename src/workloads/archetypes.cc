@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <vector>
 
 #include "common/isolation.hh"
@@ -81,19 +80,12 @@ emitWarps(KernelTrace &kernel, const HardwareConfig &config,
     std::vector<WarpTrace> slots(wave);
     for (WarpTrace &slot : slots)
         slot.reserve(hint.instsPerWarp, hint.linesPerWarp);
-    // Checkpoints read a thread-local frame; carry the caller's onto
-    // the pool workers so a body's checkpoints see it.
-    const EvalContext *caller = currentEvalContext();
     for (std::uint32_t first = 0; first < num_warps; first += wave) {
         deadlineCheckpoint();
         const std::uint32_t count = std::min(wave, num_warps - first);
-        parallelFor(
+        parallelForInContext(
             count,
             [&](std::size_t i) {
-                std::optional<ScopedEvalContext> scope;
-                if (caller)
-                    scope.emplace(caller->kernel, caller->token,
-                                  caller->plan);
                 thread_local WarpScratch scratch;
                 const std::uint32_t w =
                     first + static_cast<std::uint32_t>(i);

@@ -16,6 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "common/isolation.hh"
 #include "common/status.hh"
 #include "harness/experiment.hh"
@@ -114,6 +117,45 @@ TEST(Checkpoints, DeadlineThrowsOnceExpired)
         EXPECT_EQ(e.status().code(), StatusCode::DeadlineExceeded);
         EXPECT_NE(e.status().message().find("slow_kernel"),
                   std::string::npos);
+    }
+}
+
+TEST(Checkpoints, PoolTasksRunUnderTheCallersContext)
+{
+    ScopedEvalContext scope("fanned_out", CancelToken::withTimeoutMs(1),
+                            nullptr);
+    auto until = std::chrono::steady_clock::now() +
+                 std::chrono::milliseconds(20);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    // Each task waits for the other to start, so the two run on two
+    // threads: the caller and a pool worker.
+    std::atomic<int> started{0};
+    std::thread::id threads[2];
+    std::string kernels[2];
+    bool stopped[2] = {false, false};
+    parallelForInContext(
+        2,
+        [&](std::size_t i) {
+            threads[i] = std::this_thread::get_id();
+            ++started;
+            const auto give_up =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (started < 2 && std::chrono::steady_clock::now() < give_up)
+                std::this_thread::yield();
+            if (const EvalContext *ctx = currentEvalContext())
+                kernels[i] = ctx->kernel;
+            try {
+                deadlineCheckpoint();
+            } catch (const StatusException &e) {
+                stopped[i] = e.status().code() == StatusCode::DeadlineExceeded;
+            }
+        },
+        1, 2);
+    EXPECT_NE(threads[0], threads[1]);
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_EQ(kernels[i], "fanned_out") << "task " << i;
+        EXPECT_TRUE(stopped[i]) << "task " << i;
     }
 }
 

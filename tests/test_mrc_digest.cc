@@ -30,7 +30,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -275,17 +274,13 @@ TEST(MrcDigestDeadline, WalkStopsAtTheDeadlineAndThePoolStaysUsable)
     // The largest profile of the table: 1.56M sampled lines, which no
     // host walks within the 10 ms deadline below. That deadline has
     // not passed when the call starts, so only the walk's own checks
-    // on the pool can stop it.
+    // can stop it. The stages fan out through parallelForInContext,
+    // whose workers' checks Checkpoints.PoolTasksRunUnderTheCallersContext
+    // shows live.
     const std::string name = "kmeans_invert_mapping";
     const HardwareConfig config = HardwareConfig::baseline();
     const KernelTrace kernel = workloadByName(name).generate(config);
     setDefaultJobs(4);
-    const CancelToken expired = CancelToken::withTimeoutMs(1);
-    const auto until =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
-    while (std::chrono::steady_clock::now() < until) {
-    }
-    EXPECT_TRUE(throwsDeadline(kernel, config, expired));
     EXPECT_TRUE(
         throwsDeadline(kernel, config, CancelToken::withTimeoutMs(10)));
 
