@@ -8,9 +8,8 @@
  * merged-stream) LRU stack distances for every sampled load line
  * request plus exact execution and load/store counts. Stores mirror
  * the simulated collector: write-through/no-allocate, so they never
- * touch the trackers. Every stage runs on the shared pool (inline for
- * a kernel smaller than one chunk), and the profile is bit-identical
- * at any job count:
+ * touch the trackers. Every stage runs on the shared pool, and the
+ * profile is bit-identical at any job count:
  *
  *  1. the merged walk's load instructions are listed in order, and the
  *     list is cut into one chunk of about equal load lines per thread;
@@ -29,7 +28,9 @@
  * The caller's thread allocates every large buffer and the pool tasks
  * only fill them, so the memory they need is not left behind in the
  * workers' malloc arenas. The caller's EvalContext goes with every
- * task, so its deadline is checked at least once per round.
+ * task (parallelForInContext), so its deadline is checked at least
+ * once per round's worth of instructions or keys, except inside the
+ * sort of one chunk's run of one PC.
  *
  * deriveCollectorResult() then prices ANY cache geometry against the
  * profile in O(histogram) time, producing a CollectorResult with the
