@@ -30,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -283,6 +284,15 @@ TEST(MrcDigestDeadline, WalkStopsAtTheDeadlineAndThePoolStaysUsable)
     setDefaultJobs(4);
     EXPECT_TRUE(
         throwsDeadline(kernel, config, CancelToken::withTimeoutMs(10)));
+
+    // A token that has already expired is stopped by the entry check,
+    // before any stage starts.
+    const CancelToken expired = CancelToken::withTimeoutMs(1);
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    EXPECT_TRUE(throwsDeadline(kernel, config, expired));
 
     // The pool still works: a profile without a deadline matches the
     // table.
